@@ -14,6 +14,10 @@ import argparse
 import json
 import sys
 
+import numpy as np
+import scipy
+
+from . import __version__
 from .core import group_index, load_csv
 from .errors import GinicovError
 from .experiments import (
@@ -99,7 +103,8 @@ def cmd_test(args) -> int:
 
 
 def _provenance(config: dict) -> None:
-    print(json.dumps({"config": config}), file=sys.stderr)
+    versions = dict(ginicov=__version__, numpy=np.__version__, scipy=scipy.__version__)
+    print(json.dumps({"config": config, "versions": versions}), file=sys.stderr)
 
 
 def cmd_simulate(args) -> int:
@@ -195,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--alpha", type=float, default=0.05)
     t.add_argument("--permutations", type=int, default=999)
     t.add_argument("--seed", type=int, default=42)
-    t.add_argument("--threads", type=int, default=0)
+    t.add_argument("--threads", type=int, default=0, help="accepted; no effect")
     t.add_argument(
         "--no-header", action="store_true", help="the file has no header row"
     )

@@ -73,6 +73,7 @@ class GroupIndex:
     counts: np.ndarray
     proportions: np.ndarray
     n: int
+    codes: np.ndarray  # class position of each row
 
     @property
     def k(self) -> int:
@@ -81,18 +82,18 @@ class GroupIndex:
 
 def group_index(ds: LabeledDataset) -> GroupIndex:
     """Partition the rows of ``ds`` by label, in first-appearance order."""
-    by_class: dict = {}
-    for i, lab in enumerate(ds.labels):
-        by_class.setdefault(lab, []).append(i)
-    classes = tuple(by_class.keys())
-    indices = tuple(np.asarray(ix, dtype=np.intp) for ix in by_class.values())
-    counts = np.asarray([ix.size for ix in indices], dtype=np.int64)
+    position: dict = {}
+    codes = np.array(
+        [position.setdefault(lab, len(position)) for lab in ds.labels], np.intp
+    )
+    classes = tuple(position)
+    counts = np.bincount(codes).astype(np.int64)
+    order = np.argsort(codes, kind="stable")
+    indices = tuple(np.split(order, np.cumsum(counts)[:-1]))
     proportions = counts / float(ds.n)
-    for arr in indices:
+    for arr in (*indices, counts, proportions, codes):
         arr.setflags(write=False)
-    counts.setflags(write=False)
-    proportions.setflags(write=False)
-    return GroupIndex(classes, indices, counts, proportions, ds.n)
+    return GroupIndex(classes, indices, counts, proportions, ds.n, codes)
 
 
 def validate_for_testing(gi: GroupIndex) -> None:

@@ -1,8 +1,8 @@
-"""Pairwise Euclidean distances and the bias-corrected U-centering transform.
+"""Pairwise Euclidean distances, within-class pair sums and U-centering.
 
 The full n x n matrix is materialized once and shared by every estimator and
-every permutation replicate; permutations only re-index it.  Memory is
-8 * n**2 bytes, sized for n up to roughly 1e4.
+every permutation replicate, which only relabels its rows before the class
+pair sums are taken.  Memory is 8 * n**2 bytes, sized for n up to 1e4.
 """
 
 from __future__ import annotations
@@ -17,6 +17,10 @@ from .errors import TooSmallError
 # pairwise (tree) reduction instead of scipy's sequential loop, which bounds
 # rounding-error growth in high dimension.
 _TREE_SUM_DIM = 1024
+
+# Above this many classes, summing each class block beats the one-hot product,
+# whose work grows as n**2 * k (crossover measured for n = 60..1000)
+_ONEHOT_MAX_K = 4
 
 
 def _as_matrix(x) -> np.ndarray:
@@ -81,20 +85,40 @@ def u_center(d: np.ndarray) -> np.ndarray:
     return a
 
 
+def class_pair_sums(d: np.ndarray, labelings, k: int) -> np.ndarray:
+    """Sums of ``d`` over unordered pairs within each class, shape (L, k),
+    for an (L, n) array of labellings in [0, k).
+
+    Blocks of two or more labellings with at most ``_ONEHOT_MAX_K`` classes
+    take one ``einsum`` product with a one-hot label matrix (unlike BLAS, it
+    starts no threads to compete with the study's workers).  Otherwise each
+    class block is summed by numpy's pairwise reduction, as the normal test's
+    ill-conditioned z needs for its single labelling.
+    """
+    m, n = labelings.shape
+    if m == 1 or k > _ONEHOT_MAX_K:
+        sums = np.empty((m, k))
+        for lab, row in zip(labelings, sums):
+            ends = np.cumsum(np.bincount(lab, minlength=k))[:-1]
+            blocks = np.split(np.argsort(lab, kind="stable"), ends)
+            row[:] = [d[ix[:, None], ix].sum() for ix in blocks]
+        return sums / 2.0
+    onehot = np.zeros((n, m * k))
+    onehot[np.arange(n)[:, None], labelings.T + k * np.arange(m)] = 1.0
+    within = np.einsum("ij,jl->il", d, onehot)
+    return np.einsum("il,il->l", onehot, within).reshape(m, k) / 2.0
+
+
 def group_gmd_inputs(d: np.ndarray, gi: GroupIndex):
     """Pooled and per-class sums of distances over unordered pairs.
 
     Returns ``(pooled, per_class)`` where ``pooled`` sums d[i, j] over all
-    i < j and ``per_class[k]`` sums over pairs inside class k.  Sums use
-    numpy's pairwise reduction; halving the symmetric full sum is exact in
-    binary arithmetic.
+    i < j and ``per_class[k]`` sums over pairs inside class k.  Halving the
+    symmetric full sum is exact in binary arithmetic.
     """
     if d.shape[0] != gi.n:
         raise ValueError(
             f"distance matrix size {d.shape[0]} does not match index n={gi.n}"
         )
     pooled = float(d.sum()) / 2.0
-    per_class = np.array(
-        [float(d[np.ix_(ix, ix)].sum()) / 2.0 for ix in gi.indices]
-    )
-    return pooled, per_class
+    return pooled, class_pair_sums(d, gi.codes[None, :], gi.k)[0]

@@ -1,10 +1,12 @@
 """Unbiased sample quantities behind the K-sample tests.
 
-All estimators work on a precomputed distance matrix plus a group index.
-The Gini covariance is the pooled Gini mean difference minus the
-proportion-weighted class GMDs, each estimated by the unbiased pair-average
-(U-statistic) rather than the plug-in V-statistic, which matters in high
-dimension where the plug-in bias does not wash out.
+All estimators work on a precomputed distance matrix plus a group index,
+through per-class sums with the class axis last, which lets the permutation
+engine evaluate a block of labellings with the same formulas.  The Gini
+covariance is the pooled Gini mean difference minus the proportion-weighted
+class GMDs, each estimated by the unbiased pair-average (U-statistic) rather
+than the plug-in V-statistic, which matters in high dimension where the
+plug-in bias does not wash out.
 """
 
 from __future__ import annotations
@@ -26,19 +28,21 @@ def gmd(pair_sum: float, m: int) -> float:
     return pair_sum / comb(m, 2)
 
 
-def _gini_from_sums(pooled_sum, class_sums, counts, n) -> float:
-    """Gini covariance from pooled/class pair sums; shared with the
-    permutation engine so the observed and replicated statistics follow
-    one code path."""
-    u_pool = pooled_sum / comb(n, 2)
-    weighted = 0.0
-    for cnt, s in zip(counts, class_sums):
-        weighted += (int(cnt) / n) * (s / comb(int(cnt), 2))
-    return float(u_pool - weighted)
+def _gini_from_sums(pooled_sum, class_sums, counts, n):
+    """Gini covariance from the pooled pair sum and the class pair sums
+    ``class_sums[..., k]``; one value per leading index."""
+    weighted = (counts / n) * (class_sums / (counts * (counts - 1) / 2))
+    return pooled_sum / comb(n, 2) - weighted.sum(axis=-1)
 
 
-def _class_pair_sums(d, indices):
-    return [float(d[np.ix_(ix, ix)].sum()) / 2.0 for ix in indices]
+def _dcov_from_sums(pooled_sum, class_sums, class_rows, counts, n):
+    """dCov from the class pair sums S_k and the class totals R_k of the row
+    sums of d: the U-centered matrix sums to ``S_k - (n_k-1) R_k/(n-2) +
+    C(n_k,2) T/((n-1)(n-2))`` over class k, with T the full sum of d."""
+    pairs = counts * (counts - 1) / 2
+    centered = class_sums - (counts - 1) * class_rows / (n - 2)
+    centered += pairs * (2.0 * pooled_sum) / ((n - 1) * (n - 2))
+    return -2.0 * centered.sum(axis=-1) / (n * (n - 3))
 
 
 def gini_cov(d: np.ndarray, gi: GroupIndex) -> float:
@@ -46,7 +50,7 @@ def gini_cov(d: np.ndarray, gi: GroupIndex) -> float:
     GMDs.  May be negative in finite samples."""
     validate_for_testing(gi)
     pooled, per_class = group_gmd_inputs(d, gi)
-    return _gini_from_sums(pooled, per_class, gi.counts, gi.n)
+    return float(_gini_from_sums(pooled, per_class, gi.counts, gi.n))
 
 
 def gini_cor(d: np.ndarray, gi: GroupIndex):
@@ -57,7 +61,7 @@ def gini_cor(d: np.ndarray, gi: GroupIndex):
     u_pool = pooled / comb(gi.n, 2)
     if u_pool <= 0.0:
         return None
-    return _gini_from_sums(pooled, per_class, gi.counts, gi.n) / u_pool
+    return float(_gini_from_sums(pooled, per_class, gi.counts, gi.n)) / u_pool
 
 
 def dist_variance(a: np.ndarray) -> float:
@@ -91,27 +95,22 @@ def sigma0_sq(gi: GroupIndex, v2n: float) -> float:
     return bracket * v2n
 
 
-def _dcov_from_centered_sums(class_pair_sums, n) -> float:
-    """Unbiased sample distance covariance from within-class pair sums of
-    the U-centered matrix; shared with the permutation engine."""
-    return float(-2.0 * sum(class_pair_sums) / (n * (n - 3)))
-
-
 def dcov_stat(d: np.ndarray, gi: GroupIndex) -> float:
     """Distance-covariance comparator: the unbiased sample dCov between the
     numeric sample and its labels under the discrete label metric.
 
     Against the zero-diagonal 0/1 label-distance matrix, the U-centered
     cross sum collapses to the within-class sums of the U-centered distance
-    matrix, giving ``-sum_k S_k / (n (n-3))`` with ``S_k`` the off-diagonal
+    matrix, giving ``-sum_k A_k / (n (n-3))`` with ``A_k`` the off-diagonal
     within-class total.  Its population target carries the squared class
     weights that let large classes dominate.  Consumed only by permutation
     calibration, where any monotone-equivalent normalization gives the same
     p-value.
     """
     validate_for_testing(gi)
-    a = u_center(d)
-    return _dcov_from_centered_sums(_class_pair_sums(a, gi.indices), gi.n)
+    pooled, per_class = group_gmd_inputs(d, gi)
+    class_rows = np.bincount(gi.codes, weights=d.sum(axis=1), minlength=gi.k)
+    return float(_dcov_from_sums(pooled, per_class, class_rows, gi.counts, gi.n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,7 +141,7 @@ def gini_estimates(d: np.ndarray, gi: GroupIndex) -> GiniEstimates:
     delta_k = np.array(
         [gmd(s, int(cnt)) for s, cnt in zip(per_class, gi.counts)]
     )
-    gcov = _gini_from_sums(pooled, per_class, gi.counts, gi.n)
+    gcov = float(_gini_from_sums(pooled, per_class, gi.counts, gi.n))
     gcor = gcov / delta_hat if delta_hat > 0.0 else None
     v2n = dist_variance(u_center(d))
     return GiniEstimates(

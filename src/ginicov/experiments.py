@@ -200,18 +200,13 @@ def _power_replicate(payload) -> tuple:
     ds = scenario_dataset(scenario, replicate)
     gi = group_index(ds)
     d = pairwise_distances(ds)
-    perm_seed = derive_seed(scenario.seed, replicate, _PERM_SALT)
-    rejected = []
-    for method in methods:
-        if method == METHOD_GINI_NORMAL:
-            res = _normal_test_from_distance(d, gi, alpha)
-        else:
-            stat = "gini" if method == METHOD_GINI_PERM else "dcov"
-            res = _perm_test_from_distance(
-                d, gi, stat, permutations, alpha, perm_seed
-            )
-        rejected.append(res.reject)
-    return tuple(rejected)
+    results = {}
+    if METHOD_GINI_NORMAL in methods:
+        results[METHOD_GINI_NORMAL] = _normal_test_from_distance(d, gi, alpha)
+    if set(methods) - {METHOD_GINI_NORMAL}:
+        perm_seed = derive_seed(scenario.seed, replicate, _PERM_SALT)
+        results.update(_perm_test_from_distance(d, gi, permutations, alpha, perm_seed))
+    return tuple(results[method].reject for method in methods)
 
 
 def size_power_study(cfg: StudyConfig, beta_grid, threads: int = 0) -> list:

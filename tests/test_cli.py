@@ -2,9 +2,18 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+import scipy
 
+import ginicov
 from ginicov.cli import main
+
+VERSIONS = {
+    "ginicov": ginicov.__version__,
+    "numpy": np.__version__,
+    "scipy": scipy.__version__,
+}
 
 FOUR_CSV = "y,x1\na,0\na,2\nb,1\nb,3\n"
 
@@ -101,6 +110,7 @@ class TestCmdSimulate:
         err = capsys.readouterr().err
         provenance = json.loads(err.split("\n")[0])
         assert provenance["config"]["seed"] == 7
+        assert provenance["versions"] == VERSIONS
 
     def test_byte_identical_reruns(self, tmp_path):
         args = [
@@ -178,6 +188,9 @@ class TestCmdNormality:
         assert lines[0] == "p,replicates,max_density_gap"
         assert lines[1].startswith("5,100,")
         assert len(lines) == 3 + 100
+        provenance = json.loads(capsys.readouterr().err.split("\n")[0])
+        assert provenance["config"]["subcommand"] == "normality"
+        assert provenance["versions"] == VERSIONS
 
     def test_zero_reps_exits_two(self, tmp_path):
         code = main(

@@ -134,6 +134,7 @@ class TestGroupIndex:
         assert gi.classes == ("c", "a")
         assert gi.indices[0].tolist() == [0, 2]
         assert gi.indices[1].tolist() == [1, 3]
+        assert gi.codes.tolist() == [0, 1, 0, 1]
 
     def test_partition_property(self):
         rng = np.random.default_rng(42)
@@ -145,6 +146,8 @@ class TestGroupIndex:
             assert sorted(seen.tolist()) == list(range(n))
             assert int(gi.counts.sum()) == n
             assert abs(float(gi.proportions.sum()) - 1.0) <= 1e-12
+            for c, ix in enumerate(gi.indices):
+                assert (gi.codes[ix] == c).all()
 
 
 class TestValidateForTesting:

@@ -9,6 +9,7 @@ from ginicov import (
     pairwise_distances,
     u_center,
 )
+from ginicov.distmat import class_pair_sums
 
 FOUR_POINTS = np.array([[0.0], [2.0], [1.0], [3.0]])
 
@@ -172,3 +173,29 @@ class TestGroupGmdInputs:
         ds = LabeledDataset(FOUR_POINTS, ("a", "a", "b", "b"))
         with pytest.raises(ValueError):
             group_gmd_inputs(np.zeros((5, 5)), group_index(ds))
+
+
+class TestClassPairSums:
+    def test_each_labelling_matches_block_sums(self):
+        # up to 8 classes and from 1 to 8 labellings: both summation paths
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            k = int(rng.integers(1, 9))
+            d = pairwise_distances(random_dataset(rng))
+            labelings = rng.integers(0, k, (int(rng.integers(1, 9)), d.shape[0]))
+            sums = class_pair_sums(d, labelings, k)
+            assert sums.shape == (labelings.shape[0], k)
+            for lab, row in zip(labelings, sums):
+                for c in range(k):
+                    ix = np.flatnonzero(lab == c)
+                    ref = d[np.ix_(ix, ix)].sum() / 2.0
+                    assert abs(row[c] - ref) <= 1e-12 * max(1.0, d.sum())
+
+    def test_single_labelling_sums_each_block_pairwise(self):
+        # the normal test's z needs the block sums exactly as numpy forms them
+        rng = np.random.default_rng(18)
+        d = pairwise_distances(random_dataset(rng))
+        lab = rng.integers(0, 3, d.shape[0])
+        ref = [d[np.ix_(ix, ix)].sum() / 2.0
+               for ix in (np.flatnonzero(lab == c) for c in range(3))]
+        assert class_pair_sums(d, lab[None, :], 3).tolist() == [ref]

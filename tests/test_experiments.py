@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,24 @@ class TestSizePowerStudy:
         a = size_power_study(cfg, [0.0, 1.0], threads=1)
         b = size_power_study(cfg, [0.0, 1.0], threads=2)
         assert [r.rejection_rate for r in a] == [r.rejection_rate for r in b]
+
+    def test_shared_permutation_pass_matches_single_methods(self):
+        # gini-perm and dcov-perm share one set of replicate streams; each
+        # rate must equal the rate of the method run on its own
+        cfg = StudyConfig(
+            scenario=ScenarioSpec(example=2, p=100, sizes=(15, 10, 8), seed=13),
+            replicates=20,
+            methods=("gini-perm", "dcov-perm"),
+            permutations=49,
+        )
+        both = size_power_study(cfg, [0.0, 1.0], threads=1)
+        for method in cfg.methods:
+            alone = size_power_study(
+                replace(cfg, methods=(method,)), [0.0, 1.0], threads=1
+            )
+            assert [r.rejection_rate for r in alone] == [
+                r.rejection_rate for r in both if r.method == method
+            ]
 
     def test_normal_and_permutation_size_agree(self):
         # paired on the same null datasets, the two calibrations land on

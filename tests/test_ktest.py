@@ -3,16 +3,22 @@ import math
 import numpy as np
 import pytest
 
+import ginicov.ktest
 from ginicov import (
     LabeledDataset,
     ScenarioSpec,
     TinyClassError,
     gini_normal_test,
+    group_index,
     normal_cdf,
     normal_quantile,
+    pairwise_distances,
     permutation_test,
     scenario_dataset,
+    u_center,
 )
+from ginicov.distmat import class_pair_sums
+from ginicov.ktest import _perm_test_from_distance
 from ginicov.streams import substream
 
 # values from a 50-digit erfc evaluation, truncated to double precision
@@ -35,6 +41,43 @@ def two_class_dataset(rng, n1=10, n2=10, p=3, shift=0.0):
     x = rng.standard_normal((n1 + n2, p))
     x[n1:] += shift
     return LabeledDataset(x, ("a",) * n1 + ("b",) * n2)
+
+
+def shifted_dataset(rng, sizes, p, shift):
+    """Class c is shifted by ``c * shift`` in every coordinate."""
+    codes = np.repeat(np.arange(len(sizes)), sizes)
+    x = rng.standard_normal((codes.size, p)) + shift * codes[:, None]
+    return LabeledDataset(x, tuple(int(c) for c in codes))
+
+
+def reference_perm_test(d, gi, statistic, permutations, seed):
+    """Per-replicate loop: relabel through the inverse permutation and sum
+    each class block of the (U-centered, for dcov) matrix with np.ix_.
+
+    Returns ``(t_obs, p_value)`` with the exact ``>=`` count.
+    """
+    n = gi.n
+    mat = u_center(d) if statistic == "dcov" else d
+    u_pool = d.sum() / 2.0 / math.comb(n, 2)
+
+    def evaluate(indices):
+        sums = [mat[np.ix_(ix, ix)].sum() / 2.0 for ix in indices]
+        if statistic == "dcov":
+            return -2.0 * sum(sums) / (n * (n - 3))
+        weighted = 0.0
+        for ix, s in zip(indices, sums):
+            weighted += (ix.size / n) * (s / math.comb(ix.size, 2))
+        return u_pool - weighted
+
+    t_obs = evaluate(gi.indices)
+    arange = np.arange(n)
+    inv = np.empty(n, dtype=np.intp)
+    n_ge = 0
+    for b in range(1, permutations + 1):
+        perm = substream(seed, b).permutation(n)
+        inv[perm] = arange
+        n_ge += evaluate([inv[ix] for ix in gi.indices]) >= t_obs
+    return t_obs, (1.0 + n_ge) / (permutations + 1.0)
 
 
 class TestNormalCdfQuantile:
@@ -213,3 +256,72 @@ class TestPermutationTest:
         with pytest.raises(TinyClassError):
             # class b has one member; the size gate fires first
             permutation_test(ds, "dcov", permutations=9)
+
+    def test_engine_matches_reference_loop(self):
+        # the batched engine sums in another order, so statistics agree to
+        # a tolerance on the distance scale and p-values exactly; B + 1
+        # straddles the engine's 128-labelling blocks, and the designs take
+        # both of the kernel's summation paths (k <= 4 and k > 4)
+        rng = np.random.default_rng(29)
+        designs = [(10, 10), (15, 15, 15), (14, 9, 5), (30, 12, 6, 4),
+                   (6, 5, 5, 4, 4), (4, 3, 3, 3, 3, 2, 2, 2)]
+        for trial in range(18):
+            sizes = designs[trial % len(designs)]
+            b = (127, 128, 257)[trial % 3]
+            ds = shifted_dataset(rng, sizes, p=5, shift=0.15)
+            d, gi = pairwise_distances(ds), group_index(ds)
+            scale = d.sum() / (gi.n * (gi.n - 1))
+            results = _perm_test_from_distance(d, gi, b, 0.05, trial)
+            for statistic in ("gini", "dcov"):
+                t_ref, p_ref = reference_perm_test(d, gi, statistic, b, trial)
+                res = results[f"{statistic}-perm"]
+                assert abs(res.statistic - t_ref) <= 1e-12 * scale
+                assert res.p_value == p_ref, (sizes, trial, statistic)
+
+    def test_tied_replicates_are_counted(self):
+        # with well-separated classes only the replicates that reproduce the
+        # observed partition reach the observed value; they tie it exactly,
+        # so the p-value is at least (1 + #ties) / (B + 1)
+        rng = np.random.default_rng(31)
+        permutations = 999
+        for trial in range(60):
+            ds = shifted_dataset(rng, (3, 3, 3), p=4, shift=10.0)
+            codes = group_index(ds).codes
+            ties = 0
+            for b in range(1, permutations + 1):
+                lab = codes[substream(trial, b).permutation(codes.size)]
+                ties += all(np.unique(lab[codes == c]).size == 1 for c in range(3))
+            floor = (1.0 + ties) / (permutations + 1.0)
+            for statistic in ("gini", "dcov"):
+                res = permutation_test(ds, statistic, permutations, seed=trial)
+                assert res.p_value >= floor, (trial, statistic, ties)
+
+    def test_equal_class_sizes_give_equal_p_values(self):
+        # with equal sizes both statistics are decreasing affine functions
+        # of the total within-class pair sum, so they rank replicates alike
+        rng = np.random.default_rng(32)
+        for trial in range(40):
+            sizes = ((8, 8), (6, 6, 6), (5, 5, 5, 5), (4, 4, 4, 4, 4))[trial % 4]
+            ds = shifted_dataset(rng, sizes, p=3, shift=0.2)
+            res = _perm_test_from_distance(
+                pairwise_distances(ds), group_index(ds), 99, 0.05, trial
+            )
+            assert res["gini-perm"].p_value == res["dcov-perm"].p_value
+
+    def test_kernel_never_gets_a_single_labelling(self, monkeypatch):
+        # one labelling would take the kernel's other summation path, so the
+        # observed value and its replicates would be summed differently
+        shapes = []
+
+        def recording(d, labelings, k):
+            shapes.append(labelings.shape[0])
+            return class_pair_sums(d, labelings, k)
+
+        monkeypatch.setattr(ginicov.ktest, "class_pair_sums", recording)
+        ds = two_class_dataset(np.random.default_rng(33))
+        d, gi = pairwise_distances(ds), group_index(ds)
+        for b in (1, 127, 128, 256, 999):
+            shapes.clear()
+            _perm_test_from_distance(d, gi, b, 0.05, 0)
+            assert sum(shapes) == b + 1 and min(shapes) >= 2, (b, shapes)
+            assert max(shapes) <= 128
