@@ -175,6 +175,12 @@ def cmd_normality(args) -> int:
         f"{row.replicates} replicates -> {args.out}",
         file=sys.stderr,
     )
+    if row.degenerate:
+        print(
+            f"{row.degenerate} of {row.replicates} replicates were degenerate "
+            "(no z; entered as 0.0)",
+            file=sys.stderr,
+        )
     return 0
 
 

@@ -93,12 +93,14 @@ class PowerRow:
 @dataclass(frozen=True, eq=False)
 class NormalityRow:
     """Sup gap between the KDE of standardized statistics and the standard
-    normal density, plus the raw z samples behind it."""
+    normal density, plus the raw z samples behind it.  ``degenerate`` counts
+    the replicates with no z (a vanishing null deviation), entered as 0.0."""
 
     p: int
     replicates: int
     max_density_gap: float
     z_samples: np.ndarray
+    degenerate: int
 
 
 def grid_points(lo: float, hi: float, step: float) -> np.ndarray:
@@ -170,13 +172,12 @@ def _run_tasks(worker, payloads, threads: int):
         return list(pool.map(worker, payloads, chunksize=chunk))
 
 
-def _normality_z(payload) -> float:
+def _normality_z(payload) -> float | None:
     scenario, replicate = payload
     ds = scenario_dataset(scenario, replicate)
-    res = _normal_test_from_distance(
+    return _normal_test_from_distance(
         pairwise_distances(ds), group_index(ds), 0.05
-    )
-    return 0.0 if res.z is None else res.z
+    ).z
 
 
 def normality_study(cfg: StudyConfig, threads: int = 0) -> NormalityRow:
@@ -186,12 +187,14 @@ def normality_study(cfg: StudyConfig, threads: int = 0) -> NormalityRow:
     if scenario.example != 1:
         raise ValueError("the normality study uses the null design (example 1)")
     payloads = [(scenario, r) for r in range(cfg.replicates)]
-    z = np.asarray(_run_tasks(_normality_z, payloads, threads))
+    zs = _run_tasks(_normality_z, payloads, threads)
+    z = np.asarray([0.0 if v is None else v for v in zs])
     return NormalityRow(
         p=scenario.p,
         replicates=cfg.replicates,
         max_density_gap=max_gap_to_normal(z),
         z_samples=z,
+        degenerate=zs.count(None),
     )
 
 

@@ -19,7 +19,8 @@ from .core import LabeledDataset, group_index, validate_for_testing
 # u_center stays a module attribute: perfbench's tracer rebinds ktest.u_center
 from .distmat import class_pair_sums, pairwise_distances, u_center  # noqa: F401
 from .estimators import _dcov_from_sums, _gini_from_sums, gini_estimates
-from .streams import substream
+# substream stays a module attribute: perfbench's tracer rebinds ktest.substream
+from .streams import shuffled, substream  # noqa: F401
 
 METHOD_GINI_NORMAL = "gini-normal"
 METHOD_GINI_PERM = "gini-perm"
@@ -87,16 +88,20 @@ def _perm_test_from_distance(d, gi, permutations: int, alpha: float, seed: int):
     streams: replicate b gives row j the class of row perm[j], perm from the
     stream (seed, b).  Replicates within 100 eps x the pooled mean distance
     below the observed value tie it, as exact arithmetic would."""
-    if permutations < 1:
-        raise ValueError(f"permutation count must be >= 1, got {permutations}")
+    # the batched stream keys hash b as one 32-bit entropy word
+    if not 1 <= permutations < 2**32:
+        raise ValueError(
+            f"permutation count must be in [1, 2**32), got {permutations}"
+        )
     pooled = float(d.sum()) / 2.0
     row_sums = d.sum(axis=1)
     stats = []
     # near-equal blocks of 2+ labellings: b = 0 and b > 0 are summed alike
     n_blocks = -(-(permutations + 1) // _BLOCK)
     for block in np.array_split(np.arange(permutations + 1), n_blocks):
-        labs = np.stack([gi.codes[substream(seed, b).permutation(gi.n)] if b
-                         else gi.codes for b in block.tolist()])
+        labs = shuffled(seed, gi.codes, block[block > 0])
+        if block[0] == 0:  # row 0 is the observed labelling
+            labs = np.vstack([gi.codes, labs])
         m = labs.shape[0]
         sums = class_pair_sums(d, labs, gi.k)
         flat = (labs + gi.k * np.arange(m)[:, None]).ravel()

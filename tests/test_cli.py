@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,22 @@ def four_csv(tmp_path):
     f = tmp_path / "four.csv"
     f.write_text(FOUR_CSV)
     return str(f)
+
+
+def degenerate_first_replicate(monkeypatch):
+    """Make the first normal test of a study report no z, as a vanishing
+    null deviation would."""
+    original = ginicov.experiments._normal_test_from_distance
+    calls = []
+
+    def first_degenerate(d, gi, alpha):
+        res = original(d, gi, alpha)
+        calls.append(res)
+        return replace(res, z=None, degenerate=True) if len(calls) == 1 else res
+
+    monkeypatch.setattr(
+        ginicov.experiments, "_normal_test_from_distance", first_degenerate
+    )
 
 
 def run_cli(args):
@@ -52,6 +69,18 @@ class TestCmdTest:
         assert payload["seed"] == 1
         assert payload["n"] == 4 and payload["p"] == 1 and payload["K"] == 2
         assert payload["class_counts"] == [2, 2]
+
+    def test_permutations_beyond_one_stream_word_exit_two(self, four_csv, capsys):
+        code = main(
+            [
+                "test", "--input", four_csv, "--label-col", "y",
+                "--method", "gini-perm", "--permutations", "4294967296",
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: permutation count")
 
     def test_key_order_is_stable(self, four_csv, capsys):
         main(["test", "--input", four_csv, "--label-col", "y"])
@@ -191,6 +220,26 @@ class TestCmdNormality:
         provenance = json.loads(capsys.readouterr().err.split("\n")[0])
         assert provenance["config"]["subcommand"] == "normality"
         assert provenance["versions"] == VERSIONS
+
+    def test_degenerate_replicates_reported_on_stderr(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        out = tmp_path / "n.csv"
+        args = [
+            "normality", "--p", "4", "--reps", "12", "--seed", "5",
+            "--sizes", "6,7", "--threads", "1", "--out", str(out),
+        ]
+        assert main(args) == 0
+        assert "were degenerate" not in capsys.readouterr().err
+        clean = out.read_bytes()
+        degenerate_first_replicate(monkeypatch)
+        assert main(args) == 0
+        assert "1 of 12 replicates were degenerate" in capsys.readouterr().err
+        lines = out.read_bytes().split(b"\n")
+        # same layout; only the degenerate replicate's z line reads 0.0
+        assert lines[0] == clean.split(b"\n")[0]
+        assert lines[3] == b"0.0"
+        assert lines[4:] == clean.split(b"\n")[4:]
 
     def test_zero_reps_exits_two(self, tmp_path):
         code = main(

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import ginicov.experiments
 from ginicov import (
     DegenerateSampleError,
     ScenarioSpec,
@@ -81,6 +82,30 @@ class TestNormalityStudy:
         assert row.z_samples.shape == (25,)
         assert row.p == 4
         assert row.max_density_gap >= 0.0
+
+    def test_degenerate_replicates_are_counted(self, monkeypatch):
+        cfg = StudyConfig(
+            scenario=ScenarioSpec(example=1, p=4, sizes=(6, 7), seed=8),
+            replicates=10,
+        )
+        clean = normality_study(cfg, threads=1)
+        assert clean.degenerate == 0
+        original = ginicov.experiments._normal_test_from_distance
+        calls = []
+
+        def third_degenerate(d, gi, alpha):
+            calls.append(None)
+            res = original(d, gi, alpha)
+            return replace(res, z=None, degenerate=True) if len(calls) == 3 else res
+
+        monkeypatch.setattr(
+            ginicov.experiments, "_normal_test_from_distance", third_degenerate
+        )
+        row = normality_study(cfg, threads=1)
+        assert row.degenerate == 1
+        assert row.z_samples[2] == 0.0
+        keep = np.arange(10) != 2
+        assert np.array_equal(row.z_samples[keep], clean.z_samples[keep])
 
     def test_thread_count_invariant(self):
         cfg = StudyConfig(

@@ -204,6 +204,14 @@ class TestPermutationTest:
         with pytest.raises(ValueError):
             permutation_test(two_class_dataset(rng), "gini", permutations=0)
 
+    def test_b_beyond_one_stream_word(self):
+        # the batched streams hash b as one 32-bit word; the guard fires
+        # before any labelling is allocated
+        ds = two_class_dataset(np.random.default_rng(25))
+        for b in (2**32, 2**40):
+            with pytest.raises(ValueError, match=r"2\*\*32"):
+                permutation_test(ds, "gini", permutations=b)
+
     def test_unknown_statistic(self):
         rng = np.random.default_rng(26)
         with pytest.raises(ValueError):
