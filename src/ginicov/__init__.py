@@ -24,6 +24,7 @@ from .errors import (
     RaggedRowsError,
     TinyClassError,
     TooFewClassesError,
+    TooLargeError,
     TooSmallError,
 )
 from .estimators import (
@@ -85,6 +86,7 @@ __all__ = [
     "TestResult",
     "TinyClassError",
     "TooFewClassesError",
+    "TooLargeError",
     "TooSmallError",
     "ar1_gaussian",
     "chol_ar1",

@@ -112,6 +112,28 @@ def validate_for_testing(gi: GroupIndex) -> None:
             )
 
 
+def _cell_error(path, i: int, row: list, label_idx: int) -> ParseError:
+    """The error for the first feature cell of ``row`` that is not a finite
+    real; ``row`` must hold one."""
+    for j, cell in enumerate(row):
+        if j == label_idx:
+            continue
+        try:
+            v = float(cell)
+        except ValueError:
+            return ParseError(
+                f"{path}: row {i}, column {j}: {cell!r} is not a number",
+                row=i,
+                col=j,
+            )
+        if not math.isfinite(v):
+            return ParseError(
+                f"{path}: row {i}, column {j}: {cell!r} is not finite",
+                row=i,
+                col=j,
+            )
+
+
 def load_csv(path, label_column, has_header: bool = True) -> LabeledDataset:
     """Read a comma-separated file into a LabeledDataset.
 
@@ -167,27 +189,15 @@ def load_csv(path, label_column, has_header: bool = True) -> LabeledDataset:
             raise RaggedRowsError(
                 f"{path}: row {i} has {len(row)} fields, expected {width}"
             )
-        j_out = 0
-        for j, cell in enumerate(row):
-            if j == label_idx:
-                labels.append(cell)
-                continue
-            try:
-                v = float(cell)
-            except ValueError:
-                raise ParseError(
-                    f"{path}: row {i}, column {j}: {cell!r} is not a number",
-                    row=i,
-                    col=j,
-                ) from None
-            if not math.isfinite(v):
-                raise ParseError(
-                    f"{path}: row {i}, column {j}: {cell!r} is not finite",
-                    row=i,
-                    col=j,
-                )
-            values[i, j_out] = v
-            j_out += 1
+        labels.append(row[label_idx])
+        # one parse per row; a row that fails is scanned cell by cell so the
+        # error names its first bad cell
+        try:
+            values[i] = list(map(float, row[:label_idx] + row[label_idx + 1:]))
+        except ValueError:
+            raise _cell_error(path, i, row, label_idx) from None
+        if not np.isfinite(values[i]).all():
+            raise _cell_error(path, i, row, label_idx)
 
     if len(raw_rows) < 2:
         raise EmptyDatasetError(

@@ -2,7 +2,9 @@
 
 The full n x n matrix is materialized once and shared by every estimator and
 every permutation replicate, which only relabels its rows before the class
-pair sums are taken.  Memory is 8 * n**2 bytes, sized for n up to 1e4.
+pair sums are taken.  It takes 8 * n**2 bytes, budgeted at 1 GiB
+(``_MAX_MATRIX_BYTES``, n <= 11585); a larger sample is refused with
+``TooLargeError`` before anything of that size is allocated.
 """
 
 from __future__ import annotations
@@ -11,12 +13,15 @@ import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
 from .core import GroupIndex, LabeledDataset
-from .errors import TooSmallError
+from .errors import TooLargeError, TooSmallError
 
 # Above this many coordinates, accumulate squared differences with numpy's
 # pairwise (tree) reduction instead of scipy's sequential loop, which bounds
 # rounding-error growth in high dimension.
 _TREE_SUM_DIM = 1024
+
+# Budget for the n x n distance matrix: 1 GiB of float64, n <= 11585
+_MAX_MATRIX_BYTES = 1 << 30
 
 # Above this many classes, summing each class block beats the one-hot product,
 # whose work grows as n**2 * k (crossover measured for n = 60..1000)
@@ -34,26 +39,35 @@ def pairwise_distances(ds) -> np.ndarray:
 
     Accepts a LabeledDataset or a plain (n, p) array.  The diagonal is
     exactly zero and the matrix is exactly symmetric (each unordered pair is
-    evaluated once).
+    evaluated once).  Raises ``TooLargeError`` when the matrix would exceed
+    ``_MAX_MATRIX_BYTES``.
     """
     x = _as_matrix(ds)
     n, p = x.shape
+    if 8 * n * n > _MAX_MATRIX_BYTES:
+        raise TooLargeError(
+            f"{n} rows need a {8 * n * n / 2**30:.2f} GiB distance matrix, "
+            f"over its {_MAX_MATRIX_BYTES / 2**30:g} GiB budget "
+            f"(n <= {int((_MAX_MATRIX_BYTES // 8) ** 0.5)})"
+        )
     if p <= _TREE_SUM_DIM:
         return squareform(pdist(x))
 
-    d = np.empty((n, n), dtype=np.float64)
-    # block rows so the (block, n, p) difference buffer stays ~64 MB
-    block = max(1, (8 << 20) // max(1, n * p))
-    for i0 in range(0, n, block):
-        i1 = min(i0 + block, n)
-        diff = x[i0:i1, None, :] - x[None, :, :]
-        np.square(diff, out=diff)
-        sq = diff.sum(axis=2)
-        np.sqrt(sq, out=sq)
-        d[i0:i1] = sq
-    # (x_i - x_j)^2 and (x_j - x_i)^2 round identically coordinate by
-    # coordinate, so both triangles agree bit for bit without mirroring
-    np.fill_diagonal(d, 0.0)
+    d = np.zeros((n, n), dtype=np.float64)
+    # upper triangle only, row i against tiles of later rows; a tile of
+    # (1 << 16) doubles (512 KB) stays in L2, and each entry is still numpy's
+    # pairwise sum over one contiguous p-vector
+    rows = max(1, (1 << 16) // p)
+    buf = np.empty((rows, p), dtype=np.float64)
+    for i in range(n - 1):
+        for j0 in range(i + 1, n, rows):
+            j1 = min(j0 + rows, n)
+            diff = np.subtract(x[j0:j1], x[i], out=buf[: j1 - j0])
+            np.square(diff, out=diff)
+            dist = np.sqrt(diff.sum(axis=1))
+            # mirror tile by tile: d += d.T would copy the overlapping operand
+            d[i, j0:j1] = dist
+            d[j0:j1, i] = dist
     return d
 
 

@@ -40,5 +40,9 @@ class TooSmallError(GinicovError):
     variance (needs n >= 4)."""
 
 
+class TooLargeError(GinicovError):
+    """The n x n distance matrix would exceed the memory budget."""
+
+
 class DegenerateSampleError(GinicovError):
     """All sample values coincide; the requested quantity is undefined."""

@@ -107,6 +107,16 @@ class TestCmdTest:
         assert code == 1
         assert "b" in err
 
+    @pytest.mark.parametrize("method", ["gini-normal", "dcov-perm"])
+    def test_distance_matrix_over_budget_exits_one(self, tmp_path, capsys, method):
+        f = tmp_path / "tall.csv"
+        f.write_text("y,x\n" + "".join(f"{'ab'[i % 2]},{i}\n" for i in range(11586)))
+        code = main(["test", "--input", str(f), "--label-col", "y", "--method", method])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: 11586 rows need")
+
     def test_label_col_by_index_without_header(self, tmp_path, capsys):
         f = tmp_path / "nh.csv"
         f.write_text("a,0\na,2\nb,1\nb,3\n")

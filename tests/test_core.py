@@ -97,6 +97,57 @@ class TestLoadCsv:
         assert np.array_equal(back.data, ds.data)
 
 
+class TestLoadCsvRowParse:
+    """Each row is parsed in one call; a row that fails is rescanned cell by
+    cell, so errors and values match a per-cell parse."""
+
+    def test_non_finite_before_unparseable_reports_first_cell(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text("y,x1,x2,x3\na,1,2,3\nb,4,nan,abc\n")
+        with pytest.raises(ParseError, match="'nan' is not finite") as exc:
+            load_csv(f, "y")
+        assert (exc.value.row, exc.value.col) == (1, 2)
+
+    def test_parse_error_after_clean_rows_reports_its_row(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text("y,x1,x2\na,1,2\nb,3,4\na,5,6\nb,7,x\na,9,9,9\n")
+        with pytest.raises(ParseError, match="'x' is not a number") as exc:
+            load_csv(f, "y")
+        assert (exc.value.row, exc.value.col) == (3, 2)
+
+    @pytest.mark.parametrize(
+        "label_col, lines, bad_col",
+        [
+            (0, ["a,1,2,3", "b,4,5,z"], 3),
+            (1, ["1,a,2,3", "4,b,z,5"], 2),
+            (3, ["1,2,3,a", "z,4,5,b"], 0),
+            (-1, ["1,2,3,a", "4,z,5,b"], 1),
+            (-3, ["1,a,2,3", "4,b,5,z"], 3),
+        ],
+    )
+    def test_columns_around_label(self, tmp_path, label_col, lines, bad_col):
+        f = tmp_path / "d.csv"
+        good = lines[0]
+        f.write_text(f"{good}\n{good}\n")
+        ds = load_csv(f, label_col, has_header=False)
+        cells = good.split(",")
+        label = cells.pop(label_col)
+        assert ds.labels == (label, label)
+        assert ds.data.tolist() == [[float(c) for c in cells]] * 2
+        f.write_text(f"{good}\n" + "\n".join(lines[1:]) + "\n")
+        with pytest.raises(ParseError) as exc:
+            load_csv(f, label_col, has_header=False)
+        assert (exc.value.row, exc.value.col) == (1, bad_col)
+
+    def test_cells_python_float_accepts(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text('y,x1,x2,x3\na," 1.5 ",1_000,1e-320\nb,-0.0,7,2\n')
+        ds = load_csv(f, "y")
+        assert ds.data[0].tolist() == [1.5, 1000.0, 1e-320]
+        assert ds.data[0, 2] == float("1e-320") != 0.0
+        assert np.signbit(ds.data[1, 0])
+
+
 class TestLabeledDataset:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):

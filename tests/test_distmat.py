@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ginicov import (
     LabeledDataset,
+    TooLargeError,
     TooSmallError,
     group_gmd_inputs,
     group_index,
@@ -113,6 +116,42 @@ class TestPairwiseDistances:
         assert np.all(np.diag(d) == 0.0)
         assert np.abs(d - full).max() <= 1e-9 * full.max()
         assert ref.shape == (12, 12)
+
+
+    @pytest.mark.parametrize(
+        "shape", [(2, 1025), (3, 4097), (37, 1100), (300, 2000), (5, 70000)]
+    )
+    def test_tree_path_is_bit_identical_to_row_loop(self, shape):
+        # (5, 70000) makes each tile a single row
+        x = np.random.default_rng(sum(shape)).standard_normal(shape) * 3.0
+        d = pairwise_distances(x)
+        for i in range(shape[0]):
+            assert np.array_equal(d[i], np.sqrt(((x[i] - x) ** 2).sum(axis=1)))
+        assert np.array_equal(d, d.T)
+        assert np.all(np.diag(d) == 0.0)
+
+    def test_tree_path_allocates_no_n_squared_temporary(self):
+        x = np.random.default_rng(9).standard_normal((300, 2000))
+        tracemalloc.start()
+        try:
+            pairwise_distances(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the result itself is 0.72 MB, one tile 0.5 MB
+        assert peak < 4 << 20
+
+    @pytest.mark.parametrize("p", [1, 1025])
+    def test_matrix_over_budget_is_refused_before_allocating(self, p):
+        x = np.zeros((11586, p))
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLargeError, match="11586 rows"):
+                pairwise_distances(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestUCenter:
