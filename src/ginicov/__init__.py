@@ -55,14 +55,7 @@ from .ktest import (
     normal_quantile,
     permutation_test,
 )
-from .simgen import (
-    ScenarioSpec,
-    ar1_gaussian,
-    chol_ar1,
-    example2_sample,
-    example3_sample,
-    scenario_dataset,
-)
+from .simgen import ScenarioSpec, scenario_dataset
 from .streams import substream
 
 __version__ = "0.1.0"
@@ -88,12 +81,8 @@ __all__ = [
     "TooFewClassesError",
     "TooLargeError",
     "TooSmallError",
-    "ar1_gaussian",
-    "chol_ar1",
     "dcov_stat",
     "dist_variance",
-    "example2_sample",
-    "example3_sample",
     "gini_cor",
     "gini_cov",
     "gini_estimates",

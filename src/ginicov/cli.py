@@ -62,12 +62,8 @@ def _parse_methods(text: str) -> tuple:
     return methods
 
 
-def _label_column(text: str):
-    return int(text) if text.lstrip("-").isdigit() else text
-
-
 def cmd_test(args) -> int:
-    ds = load_csv(args.input, _label_column(args.label_col), not args.no_header)
+    ds = load_csv(args.input, args.label_col, not args.no_header)
     if args.method == METHOD_GINI_NORMAL:
         res = gini_normal_test(ds, alpha=args.alpha)
     else:

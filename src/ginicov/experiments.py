@@ -27,6 +27,7 @@ from .ktest import (
     METHOD_DCOV_PERM,
     METHOD_GINI_NORMAL,
     METHOD_GINI_PERM,
+    _check_alpha,
     _normal_test_from_distance,
     _perm_test_from_distance,
 )
@@ -64,8 +65,7 @@ class StudyConfig:
         object.__setattr__(self, "methods", tuple(self.methods))
         if self.replicates < 1:
             raise ValueError(f"replicates must be >= 1, got {self.replicates}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
+        _check_alpha(self.alpha)
         for m in self.methods:
             if m not in ALL_METHODS:
                 raise ValueError(f"unknown method {m!r}")
@@ -257,12 +257,11 @@ def _sizes_field(sizes) -> str:
     return ",".join(str(s) for s in sizes)
 
 
-def write_power_csv(rows, path, timings: bool = False) -> None:
+def write_power_csv(rows, path) -> None:
     """Write study rows under the fixed header.
 
-    ``timings=False`` (the default for files) leaves elapsed_ms empty so
-    identical runs produce byte-identical files; pass True to keep the
-    measured wall time.
+    elapsed_ms is left empty, so identical runs produce byte-identical
+    files.
     """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -278,13 +277,13 @@ def write_power_csv(rows, path, timings: bool = False) -> None:
                     row.alpha,
                     row.replicates,
                     row.rejection_rate,
-                    f"{row.elapsed_ms:.3f}" if timings else "",
+                    "",
                 ]
             )
 
 
-def write_power_json(rows, path, timings: bool = False) -> None:
-    """JSON mirror of the CSV emission."""
+def write_power_json(rows, path) -> None:
+    """JSON mirror of the CSV emission (elapsed_ms is null)."""
     payload = []
     for row in rows:
         entry = {
@@ -296,7 +295,7 @@ def write_power_json(rows, path, timings: bool = False) -> None:
             "alpha": row.alpha,
             "replicates": row.replicates,
             "rejection_rate": row.rejection_rate,
-            "elapsed_ms": row.elapsed_ms if timings else None,
+            "elapsed_ms": None,
         }
         payload.append(entry)
     with open(path, "w", encoding="utf-8") as fh:

@@ -60,6 +60,12 @@ def normal_quantile(q: float) -> float:
     return float(ndtri(q))
 
 
+def _check_alpha(alpha: float) -> None:
+    # written so that NaN fails too
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+
+
 def _normal_test_from_distance(d, gi, alpha: float) -> TestResult:
     est = gini_estimates(d, gi)
     sigma0 = math.sqrt(est.sigma0_sq)
@@ -78,6 +84,7 @@ def gini_normal_test(ds: LabeledDataset, alpha: float = 0.05) -> TestResult:
     """One-sided test of class-distribution equality via the standardized
     Gini covariance; rejects when the upper-tail p-value falls below alpha.
     """
+    _check_alpha(alpha)
     gi = group_index(ds)
     validate_for_testing(gi)
     return _normal_test_from_distance(pairwise_distances(ds), gi, alpha)
@@ -138,6 +145,7 @@ def permutation_test(
     """
     if statistic not in _PERM_METHODS:
         raise ValueError(f"unknown permutation statistic {statistic!r}")
+    _check_alpha(alpha)
     gi = group_index(ds)
     validate_for_testing(gi)
     results = _perm_test_from_distance(

@@ -1,10 +1,13 @@
-"""Seeded generators for the three simulation designs used in the studies.
+"""Seeded generator for the three simulation designs used in the studies.
 
-Design 1 draws every class from the same AR(1)-correlated Gaussian (a pure
-null for the normality study).  Design 2 shifts and rescales the first
-``round(beta * p)`` coordinates of classes 2 and 3.  Design 3 repeats the
-same covariance structure with centered unit-exponential innovations, so the
-marginals are skewed; no mean shift is applied there.
+Every design is an AR(1) filter, with correlation rho^|i-j| between
+coordinates, over i.i.d. innovations: standard Gaussian in designs 1 and 2,
+centered unit-exponential in design 3, so its marginals are skewed.
+Design 1 leaves every class alike (a pure null for the normality study).
+Designs 2 and 3 rescale the first ``round(beta * p)`` coordinates of classes
+2 and 3; design 2 also shifts them.  ``scenario_dataset`` is the only code
+path: it draws each class, stacks the classes, filters the stack once and
+then transforms the affected rows in place.
 
 All draws come from substreams keyed by ``(seed, replicate, class_index)``,
 making each class of each replicate reproducible in isolation.
@@ -20,10 +23,10 @@ import numpy as np
 from .core import LabeledDataset
 from .streams import substream
 
-# per-class scale of the first affected coordinates, and the mean shift
-# applied on top in design 2
-_CLASS_SCALE = {1: 1.0, 2: 1.1, 3: 1.2}
-_CLASS_SHIFT = {1: 0.0, 2: 0.1, 3: 0.2}
+# scale of the first affected coordinates of classes 2 and 3, and the mean
+# shift applied on top in design 2; class 1 is untouched
+_CLASS_SCALE = {2: 1.1, 3: 1.2}
+_CLASS_SHIFT = {2: 0.1, 3: 0.2}
 
 
 @dataclass(frozen=True)
@@ -61,94 +64,40 @@ class ScenarioSpec:
         return int(round(self.beta * self.p))
 
 
-def _ar1_filter(innovations: np.ndarray, rho: float) -> np.ndarray:
-    """Apply x[0] = e[0], x[j] = rho*x[j-1] + sqrt(1-rho^2)*e[j] along rows.
+def _ar1_filter(x: np.ndarray, rho: float) -> np.ndarray:
+    """Turn the rows of innovations ``x`` in place into
+    x[0] = e[0], x[j] = rho*x[j-1] + sqrt(1-rho^2)*e[j], and return ``x``.
 
     This recursion is exactly the lower-triangular (Cholesky) factor of the
     AR(1) correlation matrix applied to the innovation vector, in O(n*p).
+    Rows never mix, so filtering a stack of classes equals filtering each.
     """
-    out = np.empty_like(innovations)
-    out[:, 0] = innovations[:, 0]
     c = math.sqrt(1.0 - rho * rho)
-    for j in range(1, innovations.shape[1]):
-        out[:, j] = rho * out[:, j - 1] + c * innovations[:, j]
-    return out
-
-
-def ar1_gaussian(m: int, p: int, rho: float, rng: np.random.Generator) -> np.ndarray:
-    """m independent draws from N_p(0, S) with S[i, j] = rho^|i-j|."""
-    if not abs(rho) < 1.0:
-        raise ValueError(f"|rho| must be < 1, got {rho}")
-    return _ar1_filter(rng.standard_normal((m, p)), rho)
-
-
-def chol_ar1(p: int, rho: float) -> np.ndarray:
-    """Closed-form lower Cholesky factor of the AR(1) correlation matrix.
-
-    Column 0 is rho^i; column j >= 1 is sqrt(1-rho^2) * rho^(i-j) below the
-    diagonal.  Exact up to rounding, with no LAPACK dependence.
-    """
-    if not abs(rho) < 1.0:
-        raise ValueError(f"|rho| must be < 1, got {rho}")
-    powers = rho ** np.arange(p, dtype=np.float64)
-    lower = np.zeros((p, p), dtype=np.float64)
-    lower[:, 0] = powers
-    c = math.sqrt(1.0 - rho * rho)
-    for j in range(1, p):
-        lower[j:, j] = c * powers[: p - j]
-    return lower
-
-
-def _check_class(class_k: int) -> None:
-    if class_k not in (1, 2, 3):
-        raise ValueError(f"class must be 1, 2 or 3, got {class_k}")
-
-
-def example2_sample(
-    spec: ScenarioSpec, class_k: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Gaussian design: class 2 scales the first affected coordinates by 1.1
-    and shifts them by 0.1; class 3 uses 1.2 and 0.2; class 1 is untouched."""
-    _check_class(class_k)
-    n_k = spec.sizes[class_k - 1]
-    x = ar1_gaussian(n_k, spec.p, spec.rho, rng)
-    m = spec.affected
-    if class_k != 1 and m > 0:
-        x[:, :m] = _CLASS_SCALE[class_k] * x[:, :m] + _CLASS_SHIFT[class_k]
-    return x
-
-
-def example3_sample(
-    spec: ScenarioSpec, class_k: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Skewed design: centered Exp(1) innovations through the same AR(1)
-    factor, class scales as in the Gaussian design but with no mean shift."""
-    _check_class(class_k)
-    n_k = spec.sizes[class_k - 1]
-    z = rng.exponential(1.0, size=(n_k, spec.p)) - 1.0
-    x = _ar1_filter(z, spec.rho)
-    m = spec.affected
-    if class_k != 1 and m > 0:
-        x[:, :m] *= _CLASS_SCALE[class_k]
+    for j in range(1, x.shape[1]):
+        x[:, j] = rho * x[:, j - 1] + c * x[:, j]
     return x
 
 
 def scenario_dataset(spec: ScenarioSpec, replicate: int = 0) -> LabeledDataset:
     """Materialize one replicate of the design as a labeled dataset.
 
-    Class ``c`` draws from the substream keyed by
+    Class ``c`` draws its innovations from the substream keyed by
     ``(spec.seed, replicate, c)``; labels are the integers 1..K.
     """
-    blocks = []
-    labels = []
-    for c in range(1, len(spec.sizes) + 1):
+    draws = []
+    for c, n_c in enumerate(spec.sizes, start=1):
         rng = substream(spec.seed, replicate, c)
-        if spec.example == 1:
-            x = ar1_gaussian(spec.sizes[c - 1], spec.p, spec.rho, rng)
-        elif spec.example == 2:
-            x = example2_sample(spec, c, rng)
+        if spec.example == 3:
+            draws.append(rng.exponential(1.0, size=(n_c, spec.p)) - 1.0)
         else:
-            x = example3_sample(spec, c, rng)
-        blocks.append(x)
-        labels.extend([c] * spec.sizes[c - 1])
-    return LabeledDataset(np.vstack(blocks), tuple(labels))
+            draws.append(rng.standard_normal((n_c, spec.p)))
+    x = _ar1_filter(np.vstack(draws), spec.rho)
+    ends = np.cumsum(spec.sizes)
+    if spec.example != 1:
+        for c in (2, 3):
+            rows = x[ends[c - 2]:ends[c - 1], :spec.affected]
+            rows *= _CLASS_SCALE[c]
+            if spec.example == 2:
+                rows += _CLASS_SHIFT[c]
+    labels = [c for c, n_c in enumerate(spec.sizes, start=1) for _ in range(n_c)]
+    return LabeledDataset(x, tuple(labels))

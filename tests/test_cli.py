@@ -127,6 +127,22 @@ class TestCmdTest:
         payload = json.loads(capsys.readouterr().out)
         assert payload["n"] == 4
 
+    @pytest.mark.parametrize("method", ["gini-normal", "gini-perm"])
+    @pytest.mark.parametrize("alpha", ["1.5", "-1", "0", "nan"])
+    def test_alpha_outside_unit_interval_exits_two(
+        self, four_csv, capsys, method, alpha
+    ):
+        code = main(
+            [
+                "test", "--input", four_csv, "--label-col", "y",
+                "--method", method, "--alpha", alpha,
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: alpha must be in (0, 1)")
+
     def test_unknown_flag_exits_two(self, four_csv):
         proc = run_cli(["test", "--input", four_csv, "--label-col", "y", "--bogus"])
         assert proc.returncode == 2

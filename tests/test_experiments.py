@@ -235,13 +235,6 @@ class TestEmission:
         assert lines[1].startswith('2,5,"4,4,4",0.0,gini-normal,0.05,5,')
         assert f1.read_bytes() == f2.read_bytes()
 
-    def test_power_csv_with_timings(self, tmp_path):
-        rows = self._rows()
-        f = tmp_path / "t.csv"
-        write_power_csv(rows, f, timings=True)
-        last_field = f.read_text().strip().split("\n")[1].split(",")[-1]
-        assert float(last_field) >= 0.0
-
     def test_power_json_mirror(self, tmp_path):
         import json
 

@@ -134,6 +134,12 @@ class TestGiniNormalTest:
         with pytest.raises(TinyClassError):
             gini_normal_test(ds)
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -1.0, 1.5, math.nan])
+    def test_alpha_outside_unit_interval(self, alpha):
+        ds = two_class_dataset(np.random.default_rng(28))
+        with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
+            gini_normal_test(ds, alpha=alpha)
+
     def test_reject_matches_p_value_rule(self):
         rng = np.random.default_rng(22)
         for shift in (0.0, 0.5, 2.0):
@@ -211,6 +217,13 @@ class TestPermutationTest:
         for b in (2**32, 2**40):
             with pytest.raises(ValueError, match=r"2\*\*32"):
                 permutation_test(ds, "gini", permutations=b)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -1.0, 1.5, math.nan])
+    def test_alpha_outside_unit_interval(self, alpha):
+        ds = two_class_dataset(np.random.default_rng(29))
+        for stat in ("gini", "dcov"):
+            with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
+                permutation_test(ds, stat, permutations=9, alpha=alpha)
 
     def test_unknown_statistic(self):
         rng = np.random.default_rng(26)

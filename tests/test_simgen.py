@@ -1,14 +1,10 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
-from ginicov import (
-    ScenarioSpec,
-    ar1_gaussian,
-    chol_ar1,
-    example2_sample,
-    example3_sample,
-    scenario_dataset,
-)
+from ginicov import ScenarioSpec, scenario_dataset
 from ginicov.simgen import _ar1_filter
 from ginicov.streams import substream
 
@@ -18,31 +14,100 @@ def ar1_cov(p, rho):
     return rho ** np.abs(idx[:, None] - idx[None, :])
 
 
+def chol_ar1(p, rho):
+    """Closed-form lower Cholesky factor of the AR(1) correlation matrix.
+
+    Column 0 is rho^i; column j >= 1 is sqrt(1-rho^2) * rho^(i-j) below the
+    diagonal.  Exact up to rounding, with no LAPACK dependence.
+    """
+    powers = rho ** np.arange(p, dtype=np.float64)
+    lower = np.zeros((p, p), dtype=np.float64)
+    lower[:, 0] = powers
+    c = math.sqrt(1.0 - rho * rho)
+    for j in range(1, p):
+        lower[j:, j] = c * powers[: p - j]
+    return lower
+
+
+# The per-class construction that scenario_dataset must reproduce bit for
+# bit: each class drawn, filtered out of place and transformed on its own.
+
+def ar1_filter_copy(e, rho):
+    out = np.empty_like(e)
+    out[:, 0] = e[:, 0]
+    c = math.sqrt(1.0 - rho * rho)
+    for j in range(1, e.shape[1]):
+        out[:, j] = rho * out[:, j - 1] + c * e[:, j]
+    return out
+
+
+def ar1_gaussian(m, p, rho, rng):
+    return ar1_filter_copy(rng.standard_normal((m, p)), rho)
+
+
+def example2_sample(spec, class_k, rng):
+    x = ar1_gaussian(spec.sizes[class_k - 1], spec.p, spec.rho, rng)
+    m = spec.affected
+    if class_k != 1 and m > 0:
+        scale, shift = {2: (1.1, 0.1), 3: (1.2, 0.2)}[class_k]
+        x[:, :m] = scale * x[:, :m] + shift
+    return x
+
+
+def example3_sample(spec, class_k, rng):
+    z = rng.exponential(1.0, size=(spec.sizes[class_k - 1], spec.p)) - 1.0
+    x = ar1_filter_copy(z, spec.rho)
+    m = spec.affected
+    if class_k != 1 and m > 0:
+        x[:, :m] *= {2: 1.1, 3: 1.2}[class_k]
+    return x
+
+
+def per_class_dataset(spec, replicate):
+    blocks = []
+    labels = []
+    for c in range(1, len(spec.sizes) + 1):
+        rng = substream(spec.seed, replicate, c)
+        if spec.example == 1:
+            x = ar1_gaussian(spec.sizes[c - 1], spec.p, spec.rho, rng)
+        elif spec.example == 2:
+            x = example2_sample(spec, c, rng)
+        else:
+            x = example3_sample(spec, c, rng)
+        blocks.append(x)
+        labels.extend([c] * spec.sizes[c - 1])
+    return np.vstack(blocks), tuple(labels)
+
+
+def class_rows(spec, class_k, replicate=0):
+    ds = scenario_dataset(spec, replicate)
+    return ds.data[np.asarray(ds.labels) == class_k]
+
+
 class TestAr1Gaussian:
     def test_rho_zero_columns_independent(self):
-        x = ar1_gaussian(20000, 3, 0.0, substream(31))
-        cov = np.cov(x, rowvar=False)
+        spec = ScenarioSpec(example=1, p=3, sizes=(20000,), rho=0.0, seed=31)
+        cov = np.cov(class_rows(spec, 1), rowvar=False)
         off = cov - np.diag(np.diag(cov))
         assert np.abs(off).max() <= 0.03
 
     def test_lag_two_covariance(self):
-        x = ar1_gaussian(20000, 3, 0.7, substream(32))
-        cov = np.cov(x, rowvar=False)
+        spec = ScenarioSpec(example=1, p=3, sizes=(20000,), seed=32)
+        cov = np.cov(class_rows(spec, 1), rowvar=False)
         assert abs(cov[0, 2] - 0.49) <= 0.03
 
     def test_full_covariance_small_p(self):
-        x = ar1_gaussian(50000, 5, 0.7, substream(33))
-        cov = np.cov(x, rowvar=False)
+        spec = ScenarioSpec(example=1, p=5, sizes=(50000,), seed=33)
+        cov = np.cov(class_rows(spec, 1), rowvar=False)
         assert np.abs(cov - ar1_cov(5, 0.7)).max() <= 0.04
 
     def test_deterministic(self):
-        a = ar1_gaussian(7, 11, 0.7, substream(34, 1, 2))
-        b = ar1_gaussian(7, 11, 0.7, substream(34, 1, 2))
+        spec = ScenarioSpec(example=1, p=11, sizes=(7, 7), seed=34)
+        a = class_rows(spec, 2, replicate=1)
+        b = class_rows(spec, 2, replicate=1)
         assert np.array_equal(a, b)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            ar1_gaussian(5, 3, 1.0, substream(35))
+        # class 2 of replicate 1 is the stream (34, 1, 2) alone
+        assert np.array_equal(a, ar1_gaussian(7, 11, 0.7, substream(34, 1, 2)))
 
 
 class TestCholAr1:
@@ -71,7 +136,7 @@ class TestCholAr1:
         rng = substream(36)
         z = rng.standard_normal((6, 40))
         direct = z @ chol_ar1(40, 0.7).T
-        assert np.abs(_ar1_filter(z, 0.7) - direct).max() <= 1e-10
+        assert np.abs(_ar1_filter(z.copy(), 0.7) - direct).max() <= 1e-10
 
 
 class TestScenarioSpec:
@@ -98,26 +163,26 @@ class TestScenarioSpec:
 class TestExample2:
     def test_class_one_is_plain_ar1(self):
         spec = ScenarioSpec(example=2, p=7, sizes=(5, 4, 3), beta=0.6, seed=1)
-        a = example2_sample(spec, 1, substream(41))
-        b = ar1_gaussian(5, 7, 0.7, substream(41))
-        assert np.array_equal(a, b)
+        null = ScenarioSpec(example=1, p=7, sizes=(5, 4, 3), seed=1)
+        a = class_rows(spec, 1)
+        assert np.array_equal(a, class_rows(null, 1))
+        assert np.array_equal(a, ar1_gaussian(5, 7, 0.7, substream(1, 0, 1)))
 
     def test_beta_zero_all_classes_share_generator(self):
         spec = ScenarioSpec(example=2, p=6, sizes=(4, 4, 4), beta=0.0, seed=2)
         for k in (2, 3):
-            x = example2_sample(spec, k, substream(42))
-            z = ar1_gaussian(4, 6, 0.7, substream(42))
-            assert np.array_equal(x, z)
+            z = ar1_gaussian(4, 6, 0.7, substream(2, 0, k))
+            assert np.array_equal(class_rows(spec, k), z)
 
     def test_class_three_moments_at_beta_one(self):
-        spec = ScenarioSpec(example=2, p=2, sizes=(20000, 20000, 20000), beta=1.0)
-        x = example2_sample(spec, 3, substream(43))
+        spec = ScenarioSpec(example=2, p=2, sizes=(2, 2, 20000), beta=1.0, seed=43)
+        x = class_rows(spec, 3)
         assert np.abs(x.mean(axis=0) - 0.2).max() <= 0.03
         assert abs(x[:, 0].var(ddof=1) - 1.44) <= 0.05
 
     def test_class_two_moments(self):
-        spec = ScenarioSpec(example=2, p=4, sizes=(30000, 30000, 30000), beta=0.5)
-        x = example2_sample(spec, 2, substream(44))
+        spec = ScenarioSpec(example=2, p=4, sizes=(2, 30000, 2), beta=0.5, seed=44)
+        x = class_rows(spec, 2)
         # first two coordinates shifted and rescaled, last two untouched
         assert np.abs(x[:, :2].mean(axis=0) - 0.1).max() <= 0.03
         assert np.abs(x[:, 2:].mean(axis=0)).max() <= 0.03
@@ -126,25 +191,25 @@ class TestExample2:
 
 class TestExample3:
     def test_centered(self):
-        spec = ScenarioSpec(example=3, p=3, sizes=(20000, 2, 2))
-        x = example3_sample(spec, 1, substream(51))
+        spec = ScenarioSpec(example=3, p=3, sizes=(20000, 2, 2), seed=51)
+        x = class_rows(spec, 1)
         assert np.abs(x.mean(axis=0)).max() <= 0.03
 
     def test_covariance_matches_target(self):
-        spec = ScenarioSpec(example=3, p=2, sizes=(20000, 2, 2))
-        x = example3_sample(spec, 1, substream(52))
+        spec = ScenarioSpec(example=3, p=2, sizes=(20000, 2, 2), seed=52)
+        x = class_rows(spec, 1)
         assert np.abs(np.cov(x, rowvar=False) - ar1_cov(2, 0.7)).max() <= 0.04
 
     def test_skewness_of_innovations(self):
-        spec = ScenarioSpec(example=3, p=1, sizes=(20000, 2, 2))
-        x = example3_sample(spec, 1, substream(53))[:, 0]
+        spec = ScenarioSpec(example=3, p=1, sizes=(20000, 2, 2), seed=53)
+        x = class_rows(spec, 1)[:, 0]
         m2 = np.mean((x - x.mean()) ** 2)
         m3 = np.mean((x - x.mean()) ** 3)
         assert abs(m3 / m2 ** 1.5 - 2.0) <= 0.15
 
     def test_no_mean_shift_for_other_classes(self):
-        spec = ScenarioSpec(example=3, p=2, sizes=(20000, 20000, 20000), beta=1.0)
-        x = example3_sample(spec, 3, substream(54))
+        spec = ScenarioSpec(example=3, p=2, sizes=(2, 2, 20000), beta=1.0, seed=54)
+        x = class_rows(spec, 3)
         assert np.abs(x.mean(axis=0)).max() <= 0.05
         assert abs(x[:, 0].var(ddof=1) - 1.44) <= 0.07
 
@@ -176,3 +241,15 @@ class TestScenarioDataset:
         spec = ScenarioSpec(example=1, p=3, sizes=(30, 40, 50, 60, 70), seed=9)
         ds = scenario_dataset(spec)
         assert ds.n == 250
+
+    @pytest.mark.parametrize("example", [1, 2, 3])
+    def test_equals_per_class_construction(self, example):
+        sizes = [(30, 40, 50, 60, 70), (3,), (2, 2, 5, 7)] if example == 1 else []
+        sizes += [(72, 36, 12), (5, 5, 5), (40, 40, 40)]
+        grid = itertools.product((0.0, 0.4, 1.0), (1, 7, 500), sizes, range(3))
+        for beta, p, size, rep in grid:
+            spec = ScenarioSpec(example=example, p=p, sizes=size, beta=beta, seed=11)
+            data, labels = per_class_dataset(spec, rep)
+            ds = scenario_dataset(spec, rep)
+            assert np.array_equal(ds.data, data), (beta, p, size, rep)
+            assert ds.labels == labels
