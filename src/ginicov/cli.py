@@ -19,6 +19,7 @@ import scipy
 
 from . import __version__
 from .core import group_index, load_csv
+from .distmat import kernel_blas_threads
 from .errors import GinicovError
 from .experiments import (
     ALL_METHODS,
@@ -33,6 +34,8 @@ from .ktest import (
     METHOD_DCOV_PERM,
     METHOD_GINI_NORMAL,
     METHOD_GINI_PERM,
+    _check_alpha,
+    _check_permutations,
     gini_normal_test,
     permutation_test,
 )
@@ -63,6 +66,10 @@ def _parse_methods(text: str) -> tuple:
 
 
 def cmd_test(args) -> int:
+    # usage errors come before the file is read
+    _check_alpha(args.alpha)
+    if args.method != METHOD_GINI_NORMAL:
+        _check_permutations(args.permutations)
     ds = load_csv(args.input, args.label_col, not args.no_header)
     if args.method == METHOD_GINI_NORMAL:
         res = gini_normal_test(ds, alpha=args.alpha)
@@ -98,9 +105,24 @@ def cmd_test(args) -> int:
     return 0
 
 
+def _blas() -> dict | None:
+    """Name and version of the BLAS numpy was built against, if it says."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.26 has no "dicts" mode
+        return None
+    return {"name": blas.get("name"), "version": blas.get("version")}
+
+
 def _provenance(config: dict) -> None:
     versions = dict(ginicov=__version__, numpy=np.__version__, scipy=scipy.__version__)
-    print(json.dumps({"config": config, "versions": versions}), file=sys.stderr)
+    record = {
+        "config": config,
+        "versions": versions,
+        "blas": _blas(),
+        "kernel_blas_threads": kernel_blas_threads(),
+    }
+    print(json.dumps(record), file=sys.stderr)
 
 
 def cmd_simulate(args) -> int:

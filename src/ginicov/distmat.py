@@ -5,9 +5,21 @@ every permutation replicate, which only relabels its rows before the class
 pair sums are taken.  It takes 8 * n**2 bytes, budgeted at 1 GiB
 (``_MAX_MATRIX_BYTES``, n <= 11585); a larger sample is refused with
 ``TooLargeError`` before anything of that size is allocated.
+
+A block of relabellings gets its class pair sums from one BLAS product with a
+one-hot label matrix.  That product runs on exactly one OpenBLAS thread,
+whether the caller is a study worker or a single ``ginicov test``: more
+threads oversubscribe a worker pool, and on two cores they made a lone
+product far less steady.  The thread count of numpy's bundled OpenBLAS is
+set through ``ctypes`` for the product and restored afterwards; where that
+library is not found, the product runs on the BLAS's own thread setting.
 """
 
 from __future__ import annotations
+
+import ctypes
+import functools
+import os
 
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
@@ -99,15 +111,58 @@ def u_center(d: np.ndarray) -> np.ndarray:
     return a
 
 
+@functools.cache
+def _openblas_threads():
+    """Thread-count getter and setter of the OpenBLAS that numpy's wheels
+    bundle in ``numpy.libs``, or None where it is not found."""
+    libs = os.path.dirname(np.__file__) + ".libs"
+    names = sorted(os.listdir(libs)) if os.path.isdir(libs) else []
+    for name in names:
+        if not name.startswith("libscipy_openblas64_"):
+            continue
+        try:
+            lib = ctypes.CDLL(os.path.join(libs, name))
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.restype, get.argtypes = ctypes.c_int, []
+        set_.restype, set_.argtypes = None, [ctypes.c_int]
+        return get, set_
+    return None
+
+
+def kernel_blas_threads() -> int | None:
+    """BLAS threads behind the class pair sums: 1 when pinned, None when the
+    bundled OpenBLAS was not found and the product runs unpinned."""
+    return None if _openblas_threads() is None else 1
+
+
+def _one_thread_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` on one OpenBLAS thread; the caller's count is restored.
+    The count is process-wide, so concurrent calls from several Python
+    threads may leave it at 1."""
+    threads = _openblas_threads()
+    if threads is None:
+        return a @ b
+    get, set_ = threads
+    before = get()
+    set_(1)
+    try:
+        return a @ b
+    finally:
+        set_(before)
+
+
 def class_pair_sums(d: np.ndarray, labelings, k: int) -> np.ndarray:
     """Sums of ``d`` over unordered pairs within each class, shape (L, k),
     for an (L, n) array of labellings in [0, k).
 
     Blocks of two or more labellings with at most ``_ONEHOT_MAX_K`` classes
-    take one ``einsum`` product with a one-hot label matrix (unlike BLAS, it
-    starts no threads to compete with the study's workers).  Otherwise each
-    class block is summed by numpy's pairwise reduction, as the normal test's
-    ill-conditioned z needs for its single labelling.
+    take one single-threaded BLAS product with a one-hot label matrix, whose
+    sums may differ from a pairwise reduction in the last bits.  Otherwise
+    each class block is summed by numpy's pairwise reduction, as the normal
+    test's ill-conditioned z needs for its single labelling.
     """
     m, n = labelings.shape
     if m == 1 or k > _ONEHOT_MAX_K:
@@ -119,7 +174,7 @@ def class_pair_sums(d: np.ndarray, labelings, k: int) -> np.ndarray:
         return sums / 2.0
     onehot = np.zeros((n, m * k))
     onehot[np.arange(n)[:, None], labelings.T + k * np.arange(m)] = 1.0
-    within = np.einsum("ij,jl->il", d, onehot)
+    within = _one_thread_product(d, onehot)
     return np.einsum("il,il->l", onehot, within).reshape(m, k) / 2.0
 
 

@@ -66,6 +66,14 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
 
 
+def _check_permutations(permutations: int) -> None:
+    # the batched stream keys hash b as one 32-bit entropy word
+    if not 1 <= permutations < 2**32:
+        raise ValueError(
+            f"permutation count must be in [1, 2**32), got {permutations}"
+        )
+
+
 def _normal_test_from_distance(d, gi, alpha: float) -> TestResult:
     est = gini_estimates(d, gi)
     sigma0 = math.sqrt(est.sigma0_sq)
@@ -95,11 +103,7 @@ def _perm_test_from_distance(d, gi, permutations: int, alpha: float, seed: int):
     streams: replicate b gives row j the class of row perm[j], perm from the
     stream (seed, b).  Replicates within 100 eps x the pooled mean distance
     below the observed value tie it, as exact arithmetic would."""
-    # the batched stream keys hash b as one 32-bit entropy word
-    if not 1 <= permutations < 2**32:
-        raise ValueError(
-            f"permutation count must be in [1, 2**32), got {permutations}"
-        )
+    _check_permutations(permutations)
     pooled = float(d.sum()) / 2.0
     row_sums = d.sum(axis=1)
     stats = []

@@ -19,6 +19,15 @@ VERSIONS = {
 FOUR_CSV = "y,x1\na,0\na,2\nb,1\nb,3\n"
 
 
+def assert_blas_provenance(provenance):
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert provenance["blas"] == {"name": blas["name"], "version": blas["version"]}
+    # 1 where the kernel pins numpy's bundled OpenBLAS, null where it is absent
+    threads = provenance["kernel_blas_threads"]
+    assert threads == ginicov.distmat.kernel_blas_threads()
+    assert threads in (1, None)
+
+
 @pytest.fixture
 def four_csv(tmp_path):
     f = tmp_path / "four.csv"
@@ -143,6 +152,36 @@ class TestCmdTest:
         assert captured.out == ""
         assert captured.err.startswith("usage error: alpha must be in (0, 1)")
 
+    @pytest.mark.parametrize(
+        "method, flag, value, message",
+        [
+            ("gini-normal", "--alpha", "nan", "alpha must be in (0, 1)"),
+            ("dcov-perm", "--alpha", "1.5", "alpha must be in (0, 1)"),
+            ("gini-perm", "--permutations", "0", "permutation count"),
+            ("dcov-perm", "--permutations", "4294967296", "permutation count"),
+        ],
+    )
+    def test_usage_error_comes_before_reading_the_file(
+        self, tmp_path, capsys, method, flag, value, message
+    ):
+        f = tmp_path / "malformed.csv"
+        f.write_text("y,x\na,1\na,oops\nb,3\nb,4\n")
+        args = ["test", "--input", str(f), "--label-col", "y", "--method", method]
+        code = main(args + [flag, value])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage error: {message}")
+        # the same file alone is a data error
+        assert main(args) == 1
+
+    def test_normal_test_ignores_the_permutation_count(self, four_csv, capsys):
+        args = ["test", "--input", four_csv, "--label-col", "y"]
+        assert main(args + ["--permutations", "0"]) == 0
+        assert main(args) == 0
+        first, second = capsys.readouterr().out.splitlines()
+        assert first == second
+
     def test_unknown_flag_exits_two(self, four_csv):
         proc = run_cli(["test", "--input", four_csv, "--label-col", "y", "--bogus"])
         assert proc.returncode == 2
@@ -166,6 +205,7 @@ class TestCmdSimulate:
         provenance = json.loads(err.split("\n")[0])
         assert provenance["config"]["seed"] == 7
         assert provenance["versions"] == VERSIONS
+        assert_blas_provenance(provenance)
 
     def test_byte_identical_reruns(self, tmp_path):
         args = [
@@ -246,6 +286,7 @@ class TestCmdNormality:
         provenance = json.loads(capsys.readouterr().err.split("\n")[0])
         assert provenance["config"]["subcommand"] == "normality"
         assert provenance["versions"] == VERSIONS
+        assert_blas_provenance(provenance)
 
     def test_degenerate_replicates_reported_on_stderr(
         self, tmp_path, capsys, monkeypatch

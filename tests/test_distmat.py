@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ginicov import (
     LabeledDataset,
@@ -12,6 +14,7 @@ from ginicov import (
     pairwise_distances,
     u_center,
 )
+from ginicov import distmat
 from ginicov.distmat import class_pair_sums
 
 FOUR_POINTS = np.array([[0.0], [2.0], [1.0], [3.0]])
@@ -238,3 +241,61 @@ class TestClassPairSums:
         ref = [d[np.ix_(ix, ix)].sum() / 2.0
                for ix in (np.flatnonzero(lab == c) for c in range(3))]
         assert class_pair_sums(d, lab[None, :], 3).tolist() == [ref]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(4, 300),
+        k=st.integers(2, 4),
+        m=st.integers(2, 130),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_product_agrees_with_block_sums(self, n, k, m, seed):
+        # a block of m labellings takes the BLAS product, one labelling at a
+        # time the pairwise block sums; they may differ only in the last bits
+        rng = np.random.default_rng(seed)
+        d = pairwise_distances(rng.standard_normal((n, int(rng.integers(1, 30)))))
+        labelings = rng.integers(0, k, (m, n))
+        product = class_pair_sums(d, labelings, k)
+        blocks = np.vstack([class_pair_sums(d, lab[None, :], k) for lab in labelings])
+        ulp = np.spacing(d.sum() / 2.0)
+        assert np.abs(product - blocks).max() <= 8 * ulp
+
+    def test_product_runs_on_one_thread_and_restores_the_count(self):
+        threads = distmat._openblas_threads()
+        if threads is None:
+            pytest.skip("numpy's bundled OpenBLAS is not found; no pinning")
+        get, set_ = threads
+        seen = []
+
+        class CountingMatrix(np.ndarray):
+            def __matmul__(self, other):
+                seen.append(get())
+                if len(seen) > 1:
+                    raise MemoryError("second product")
+                return np.asarray(self) @ other
+
+        rng = np.random.default_rng(19)
+        d = pairwise_distances(random_dataset(rng, n=30)).view(CountingMatrix)
+        labelings = rng.integers(0, 3, (5, 30))
+        before = get()
+        try:
+            set_(2)
+            class_pair_sums(d, labelings, 3)
+            assert get() == 2
+            with pytest.raises(MemoryError):
+                class_pair_sums(d, labelings, 3)
+            assert get() == 2
+        finally:
+            set_(before)
+        assert seen == [1, 1]
+        assert distmat.kernel_blas_threads() == 1
+
+    def test_unpinned_fallback_gives_the_same_sums(self, monkeypatch):
+        rng = np.random.default_rng(20)
+        d = pairwise_distances(random_dataset(rng, n=30))
+        labelings = rng.integers(0, 3, (5, 30))
+        pinned = class_pair_sums(d, labelings, 3)
+        monkeypatch.setattr(distmat, "_openblas_threads", lambda: None)
+        assert distmat.kernel_blas_threads() is None
+        unpinned = class_pair_sums(d, labelings, 3)
+        assert np.abs(unpinned - pinned).max() <= 8 * np.spacing(d.sum() / 2.0)
