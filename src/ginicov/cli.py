@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 import numpy as np
 import scipy
@@ -54,15 +55,8 @@ def _parse_sizes(text: str) -> tuple:
 
 
 def _parse_methods(text: str) -> tuple:
-    methods = tuple(m.strip() for m in text.split(",") if m.strip())
-    for m in methods:
-        if m not in ALL_METHODS:
-            raise ValueError(
-                f"unknown method {m!r}; choose from {', '.join(ALL_METHODS)}"
-            )
-    if not methods:
-        raise ValueError("at least one method is required")
-    return methods
+    # StudyConfig checks the methods
+    return tuple(m.strip() for m in text.split(",") if m.strip())
 
 
 def cmd_test(args) -> int:
@@ -162,12 +156,13 @@ def cmd_simulate(args) -> int:
             "out": args.out,
         }
     )
+    start = time.perf_counter()
     rows = size_power_study(cfg, betas, threads=args.threads)
+    elapsed_ms = (time.perf_counter() - start) * 1e3
     write_power_csv(rows, args.out)
     if args.json_out:
         write_power_json(rows, args.json_out)
-    total_ms = sum(r.elapsed_ms for r in rows) / max(1, len(cfg.methods))
-    print(f"wrote {len(rows)} rows to {args.out} ({total_ms:.0f} ms)", file=sys.stderr)
+    print(f"wrote {len(rows)} rows to {args.out} ({elapsed_ms:.0f} ms)", file=sys.stderr)
     return 0
 
 

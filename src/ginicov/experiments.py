@@ -1,9 +1,10 @@
 """Monte Carlo studies: null normality of the standardized statistic and
 size/power tables.
 
-Replicates are independent tasks with seeds derived from
-``(seed, beta_index, replicate)``, so any subset of a study can be recomputed
-in isolation and results do not depend on worker count or scheduling.
+Each study is one task pass: one ``_run_tasks`` call (at most one process
+pool) maps every replicate.  Beta i of a size/power grid generates from
+``derive_seed(root, i)``, so any subset of a study can be recomputed in
+isolation and results do not depend on worker count or scheduling.
 Aggregation is pure counting (and ordered collection of z values), never an
 order-sensitive float reduction.
 """
@@ -14,7 +15,6 @@ import csv
 import json
 import math
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -28,6 +28,7 @@ from .ktest import (
     METHOD_GINI_NORMAL,
     METHOD_GINI_PERM,
     _check_alpha,
+    _check_permutations,
     _normal_test_from_distance,
     _perm_test_from_distance,
 )
@@ -66,9 +67,15 @@ class StudyConfig:
         if self.replicates < 1:
             raise ValueError(f"replicates must be >= 1, got {self.replicates}")
         _check_alpha(self.alpha)
+        if not self.methods:
+            raise ValueError("at least one method is required")
         for m in self.methods:
             if m not in ALL_METHODS:
-                raise ValueError(f"unknown method {m!r}")
+                raise ValueError(
+                    f"unknown method {m!r}; choose from {', '.join(ALL_METHODS)}"
+                )
+        if set(self.methods) - {METHOD_GINI_NORMAL}:
+            _check_permutations(self.permutations)
 
     @property
     def root_seed(self) -> int:
@@ -87,7 +94,6 @@ class PowerRow:
     alpha: float
     replicates: int
     rejection_rate: float
-    elapsed_ms: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,6 +192,11 @@ def normality_study(cfg: StudyConfig, threads: int = 0) -> NormalityRow:
     scenario = replace(cfg.scenario, seed=cfg.root_seed)
     if scenario.example != 1:
         raise ValueError("the normality study uses the null design (example 1)")
+    if cfg.replicates < 2:
+        raise ValueError(
+            f"the normality study's KDE needs at least 2 replicates, "
+            f"got {cfg.replicates}"
+        )
     payloads = [(scenario, r) for r in range(cfg.replicates)]
     zs = _run_tasks(_normality_z, payloads, threads)
     z = np.asarray([0.0 if v is None else v for v in zs])
@@ -215,39 +226,41 @@ def _power_replicate(payload) -> tuple:
 def size_power_study(cfg: StudyConfig, beta_grid, threads: int = 0) -> list:
     """Rejection rates over a beta grid, one row per (beta, method).
 
-    Each beta batch runs ``cfg.replicates`` independent datasets; every
-    method sees the same datasets, which makes method comparisons paired.
+    The whole grid is one task pass: one task per (beta, replicate) in grid
+    order.  Beta i generates from ``derive_seed(cfg.root_seed, i)``, and
+    every method sees the same datasets, which makes method comparisons
+    paired.
     """
     if cfg.scenario.example not in (2, 3):
         raise ValueError("size/power studies use example 2 or 3")
+    betas = [float(b) for b in beta_grid]
+    if not betas:
+        raise ValueError("the beta grid is empty")
+    scenarios = [
+        replace(cfg.scenario, beta=beta, seed=derive_seed(cfg.root_seed, i))
+        for i, beta in enumerate(betas)
+    ]
+    payloads = [
+        (scenario, r, cfg.methods, cfg.alpha, cfg.permutations)
+        for scenario in scenarios
+        for r in range(cfg.replicates)
+    ]
+    outcomes = _run_tasks(_power_replicate, payloads, threads)
     rows = []
-    for i, beta in enumerate(beta_grid):
-        scenario = replace(
-            cfg.scenario, beta=float(beta), seed=derive_seed(cfg.root_seed, i)
-        )
-        payloads = [
-            (scenario, r, cfg.methods, cfg.alpha, cfg.permutations)
-            for r in range(cfg.replicates)
-        ]
-        start = time.perf_counter()
-        outcomes = _run_tasks(_power_replicate, payloads, threads)
-        elapsed_ms = (time.perf_counter() - start) * 1e3
-        counts = [0] * len(cfg.methods)
-        for outcome in outcomes:
-            for j, rej in enumerate(outcome):
-                counts[j] += bool(rej)
+    for i, beta in enumerate(betas):
+        batch = outcomes[i * cfg.replicates : (i + 1) * cfg.replicates]
         for j, method in enumerate(cfg.methods):
+            count = sum(bool(outcome[j]) for outcome in batch)
             rows.append(
                 PowerRow(
                     example=cfg.scenario.example,
                     p=cfg.scenario.p,
                     sizes=cfg.scenario.sizes,
-                    beta=float(beta),
+                    beta=beta,
                     method=method,
                     alpha=cfg.alpha,
                     replicates=cfg.replicates,
-                    rejection_rate=counts[j] / cfg.replicates,
-                    elapsed_ms=elapsed_ms,
+                    rejection_rate=count / cfg.replicates,
                 )
             )
     return rows

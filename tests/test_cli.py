@@ -254,6 +254,39 @@ class TestCmdSimulate:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("methods", ["gini-perm", "gini-normal,dcov-perm"])
+    def test_bad_permutation_count_exits_two_before_provenance(
+        self, tmp_path, capsys, methods
+    ):
+        out = tmp_path / "x.csv"
+        code = main(
+            [
+                "simulate", "--example", "2", "--p", "4", "--sizes", "3,3,3",
+                "--reps", "2", "--methods", methods, "--permutations", "0",
+                "--out", str(out),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: permutation count")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("methods", ["", " , ", "gini-normal,bogus"])
+    def test_bad_method_list_exits_two_before_provenance(
+        self, tmp_path, capsys, methods
+    ):
+        code = main(
+            [
+                "simulate", "--example", "2", "--p", "4", "--sizes", "3,3,3",
+                "--reps", "2", "--methods", methods, "--out", str(tmp_path / "x.csv"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:")
+        assert err.count("\n") == 1
+
     def test_json_mirror(self, tmp_path):
         out = tmp_path / "r.csv"
         mirror = tmp_path / "r.json"
@@ -313,6 +346,13 @@ class TestCmdNormality:
             ["normality", "--p", "5", "--reps", "0", "--out", str(tmp_path / "n.csv")]
         )
         assert code == 2
+
+    def test_one_rep_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "n.csv"
+        code = main(["normality", "--p", "5", "--reps", "1", "--out", str(out)])
+        assert code == 2
+        assert "at least 2 replicates" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_seed_changes_samples_not_schema(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

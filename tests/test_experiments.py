@@ -107,6 +107,20 @@ class TestNormalityStudy:
         keep = np.arange(10) != 2
         assert np.array_equal(row.z_samples[keep], clean.z_samples[keep])
 
+    def test_refuses_fewer_than_two_replicates_before_generating(
+        self, monkeypatch
+    ):
+        def no_generation(*args):
+            raise AssertionError("a replicate was generated")
+
+        monkeypatch.setattr(ginicov.experiments, "scenario_dataset", no_generation)
+        cfg = StudyConfig(
+            scenario=ScenarioSpec(example=1, p=4, sizes=(6, 7), seed=8),
+            replicates=1,
+        )
+        with pytest.raises(ValueError, match="at least 2 replicates"):
+            normality_study(cfg, threads=1)
+
     def test_thread_count_invariant(self):
         cfg = StudyConfig(
             scenario=ScenarioSpec(example=1, p=3, sizes=(5, 6, 7), seed=4),
@@ -139,6 +153,33 @@ class TestSizePowerStudy:
             assert 0.0 <= r.rejection_rate <= 1.0
             count = r.rejection_rate * r.replicates
             assert abs(count - round(count)) <= 1e-9
+
+    def test_one_task_pass_for_the_whole_grid(self, monkeypatch):
+        original = ginicov.experiments._run_tasks
+        calls = []
+
+        def counting(worker, payloads, threads):
+            calls.append(len(payloads))
+            return original(worker, payloads, threads)
+
+        monkeypatch.setattr(ginicov.experiments, "_run_tasks", counting)
+        cfg = StudyConfig(
+            scenario=ScenarioSpec(example=2, p=6, sizes=(5, 5, 5), seed=5),
+            replicates=4,
+            methods=("gini-normal", "dcov-perm"),
+            permutations=19,
+        )
+        rows = size_power_study(cfg, [0.0, 0.5, 1.0], threads=1)
+        assert calls == [3 * 4]
+        assert len(rows) == 3 * 2
+
+    def test_refuses_an_empty_beta_grid(self, monkeypatch):
+        monkeypatch.setattr(ginicov.experiments, "_run_tasks", None)
+        cfg = StudyConfig(
+            scenario=ScenarioSpec(example=2, p=6, sizes=(5, 5, 5)), replicates=4
+        )
+        with pytest.raises(ValueError, match="beta grid is empty"):
+            size_power_study(cfg, [])
 
     def test_requires_alternative_example(self):
         cfg = StudyConfig(
@@ -272,6 +313,35 @@ class TestStudyConfig:
             StudyConfig(scenario=scen, replicates=1, alpha=1.0)
         with pytest.raises(ValueError):
             StudyConfig(scenario=scen, replicates=1, methods=("bogus",))
+
+    def test_refuses_an_empty_method_list(self):
+        scen = ScenarioSpec(example=2, p=4, sizes=(3, 3, 3))
+        with pytest.raises(ValueError, match="at least one method"):
+            StudyConfig(scenario=scen, replicates=1, methods=())
+
+    def test_unknown_method_message_lists_the_choices(self):
+        scen = ScenarioSpec(example=2, p=4, sizes=(3, 3, 3))
+        with pytest.raises(ValueError) as exc:
+            StudyConfig(scenario=scen, replicates=1, methods=("gini-normal", "x"))
+        assert "'x'" in str(exc.value)
+        assert "gini-normal, gini-perm, dcov-perm" in str(exc.value)
+
+    @pytest.mark.parametrize("method", ["gini-perm", "dcov-perm"])
+    @pytest.mark.parametrize("permutations", [0, -1, 2**32])
+    def test_permutation_methods_check_the_count(self, method, permutations):
+        scen = ScenarioSpec(example=2, p=4, sizes=(3, 3, 3))
+        with pytest.raises(ValueError, match="permutation count"):
+            StudyConfig(
+                scenario=scen,
+                replicates=1,
+                methods=("gini-normal", method),
+                permutations=permutations,
+            )
+
+    def test_normal_method_alone_ignores_the_permutation_count(self):
+        scen = ScenarioSpec(example=2, p=4, sizes=(3, 3, 3))
+        cfg = StudyConfig(scenario=scen, replicates=1, permutations=0)
+        assert cfg.methods == ("gini-normal",)
 
     def test_root_seed_override(self):
         scen = ScenarioSpec(example=2, p=4, sizes=(3, 3, 3), seed=5)
