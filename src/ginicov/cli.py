@@ -25,6 +25,8 @@ from .errors import GinicovError
 from .experiments import (
     ALL_METHODS,
     StudyConfig,
+    _check_kde_replicates,
+    _resolve_workers,
     normality_study,
     size_power_study,
     write_normality_csv,
@@ -140,6 +142,7 @@ def cmd_simulate(args) -> int:
         permutations=args.permutations,
         seed=args.seed,
     )
+    _resolve_workers(args.threads)  # usage errors come before provenance
     _provenance(
         {
             "subcommand": "simulate",
@@ -170,6 +173,9 @@ def cmd_normality(args) -> int:
     sizes = _parse_sizes(args.sizes)
     scenario = ScenarioSpec(example=1, p=args.p, sizes=sizes, seed=args.seed)
     cfg = StudyConfig(scenario=scenario, replicates=args.reps, seed=args.seed)
+    # usage errors come before provenance
+    _check_kde_replicates(cfg.replicates)
+    _resolve_workers(args.threads)
     _provenance(
         {
             "subcommand": "normality",

@@ -9,6 +9,7 @@ derived output stable across runs.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -22,7 +23,11 @@ from .errors import (
     RaggedRowsError,
     TinyClassError,
     TooFewClassesError,
+    TooLargeError,
 )
+
+# Budget for the n x n distance matrix: 1 GiB of float64, n <= 11585
+_MAX_MATRIX_BYTES = 1 << 30
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,6 +117,17 @@ def validate_for_testing(gi: GroupIndex) -> None:
             )
 
 
+def _check_matrix_rows(n: int) -> None:
+    """Raise ``TooLargeError`` when n rows need an n x n float64 distance
+    matrix over ``_MAX_MATRIX_BYTES``."""
+    if 8 * n * n > _MAX_MATRIX_BYTES:
+        raise TooLargeError(
+            f"{n} rows need a {8 * n * n / 2**30:.2f} GiB distance matrix, "
+            f"over its {_MAX_MATRIX_BYTES / 2**30:g} GiB budget "
+            f"(n <= {int((_MAX_MATRIX_BYTES // 8) ** 0.5)})"
+        )
+
+
 def _cell_error(path, i: int, row: list, label_idx: int) -> ParseError:
     """The error for the first feature cell of ``row`` that is not a finite
     real; ``row`` must hold one."""
@@ -135,75 +151,86 @@ def _cell_error(path, i: int, row: list, label_idx: int) -> ParseError:
 
 
 def load_csv(path, label_column, has_header: bool = True) -> LabeledDataset:
-    """Read a comma-separated file into a LabeledDataset.
+    """Read a comma-separated file into a LabeledDataset, one row at a time.
 
     ``label_column`` selects the label column by header name (requires a
     header row) or by 0-based column index.  All remaining columns must
     parse as finite reals and keep their file order.
+
+    The file is UTF-8 text; a leading byte-order mark is dropped.  Each row
+    is checked and converted as it is read, so the first bad row ends the
+    read, and the row past the distance-matrix budget (the 11586th, see
+    ``_check_matrix_rows``) raises ``TooLargeError`` before any later row is
+    read.  A file that cannot be read or decoded, or that holds a malformed
+    CSV record, raises ``GinicovError`` naming the file (and, for a
+    malformed record, its line).
     """
     if not os.path.exists(path):
         raise FileNotFoundError(f"no such file: {path}")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = None
-        if has_header:
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise EmptyDatasetError(f"{path} is empty") from None
-        raw_rows = [row for row in reader if row]
+    labels, values = [], []
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None) if has_header else None
+            if has_header and header is None:
+                raise EmptyDatasetError(f"{path} is empty")
+            if isinstance(label_column, int) or (
+                isinstance(label_column, str) and label_column.lstrip("-").isdigit()
+            ):
+                label_idx = int(label_column)
+            elif header is None:
+                raise ValueError("label column by name requires a header row")
+            elif label_column in header:
+                label_idx = header.index(label_column)
+            else:
+                raise GinicovError(
+                    f"{path}: label column {label_column!r} not found in header"
+                )
+            rows = filter(None, reader)  # blank lines hold no row
+            first = next(rows, None)
+            if first is None:
+                raise EmptyDatasetError(f"{path} holds no data rows")
+            width = len(first)
+            if header is not None and len(header) != width:
+                raise RaggedRowsError(
+                    f"{path}: header has {len(header)} fields but row 0 has {width}"
+                )
+            if not (-width <= label_idx < width):
+                raise ValueError(
+                    f"label column index {label_idx} out of range for {width} columns"
+                )
+            label_idx %= width
+            for i, row in enumerate(itertools.chain([first], rows)):
+                _check_matrix_rows(i + 1)
+                if len(row) != width:
+                    raise RaggedRowsError(
+                        f"{path}: row {i} has {len(row)} fields, expected {width}"
+                    )
+                labels.append(row[label_idx])
+                # one parse per row; a row that fails is scanned cell by cell
+                # so the error names its first bad cell
+                cells = row[:label_idx] + row[label_idx + 1:]
+                try:
+                    x = np.array(list(map(float, cells)))
+                except ValueError:
+                    raise _cell_error(path, i, row, label_idx) from None
+                if not np.isfinite(x).all():
+                    raise _cell_error(path, i, row, label_idx)
+                values.append(x)
+    except (UnicodeDecodeError, csv.Error, OSError) as exc:
+        if isinstance(exc, UnicodeDecodeError):
+            why = f"not UTF-8 text (byte 0x{exc.object[exc.start]:02x}: {exc.reason})"
+        elif isinstance(exc, csv.Error):
+            why = f"line {reader.line_num}: {exc}"
+        else:
+            why = f"cannot read: {exc.strerror or exc}"
+        raise GinicovError(f"{path}: {why}") from None
 
-    if isinstance(label_column, int) or (
-        isinstance(label_column, str) and label_column.lstrip("-").isdigit()
-    ):
-        label_idx = int(label_column)
-    else:
-        if header is None:
-            raise ValueError(
-                "label column by name requires a header row"
-            )
-        try:
-            label_idx = header.index(label_column)
-        except ValueError:
-            raise GinicovError(
-                f"{path}: label column {label_column!r} not found in header"
-            ) from None
-
-    if not raw_rows:
-        raise EmptyDatasetError(f"{path} holds no data rows")
-    width = len(raw_rows[0])
-    if header is not None and len(header) != width:
-        raise RaggedRowsError(
-            f"{path}: header has {len(header)} fields but row 0 has {width}"
-        )
-    if not (-width <= label_idx < width):
-        raise ValueError(
-            f"label column index {label_idx} out of range for {width} columns"
-        )
-    label_idx %= width
-
-    labels = []
-    values = np.empty((len(raw_rows), width - 1), dtype=np.float64)
-    for i, row in enumerate(raw_rows):
-        if len(row) != width:
-            raise RaggedRowsError(
-                f"{path}: row {i} has {len(row)} fields, expected {width}"
-            )
-        labels.append(row[label_idx])
-        # one parse per row; a row that fails is scanned cell by cell so the
-        # error names its first bad cell
-        try:
-            values[i] = list(map(float, row[:label_idx] + row[label_idx + 1:]))
-        except ValueError:
-            raise _cell_error(path, i, row, label_idx) from None
-        if not np.isfinite(values[i]).all():
-            raise _cell_error(path, i, row, label_idx)
-
-    if len(raw_rows) < 2:
+    if len(labels) < 2:
         raise EmptyDatasetError(
-            f"{path} holds {len(raw_rows)} data row(s); need at least 2"
+            f"{path} holds {len(labels)} data row(s); need at least 2"
         )
-    return LabeledDataset(values, tuple(labels))
+    return LabeledDataset(np.array(values), tuple(labels))
 
 
 def write_csv(ds: LabeledDataset, path, header: bool = True) -> None:

@@ -3,7 +3,7 @@
 The full n x n matrix is materialized once and shared by every estimator and
 every permutation replicate, which only relabels its rows before the class
 pair sums are taken.  It takes 8 * n**2 bytes, budgeted at 1 GiB
-(``_MAX_MATRIX_BYTES``, n <= 11585); a larger sample is refused with
+(``core._MAX_MATRIX_BYTES``, n <= 11585); a larger sample is refused with
 ``TooLargeError`` before anything of that size is allocated.
 
 A block of relabellings gets its class pair sums from one BLAS product with a
@@ -24,16 +24,13 @@ import os
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
-from .core import GroupIndex, LabeledDataset
-from .errors import TooLargeError, TooSmallError
+from .core import GroupIndex, LabeledDataset, _check_matrix_rows
+from .errors import TooSmallError
 
 # Above this many coordinates, accumulate squared differences with numpy's
 # pairwise (tree) reduction instead of scipy's sequential loop, which bounds
 # rounding-error growth in high dimension.
 _TREE_SUM_DIM = 1024
-
-# Budget for the n x n distance matrix: 1 GiB of float64, n <= 11585
-_MAX_MATRIX_BYTES = 1 << 30
 
 # Above this many classes, summing each class block beats the one-hot product,
 # whose work grows as n**2 * k (crossover measured for n = 60..1000)
@@ -52,16 +49,11 @@ def pairwise_distances(ds) -> np.ndarray:
     Accepts a LabeledDataset or a plain (n, p) array.  The diagonal is
     exactly zero and the matrix is exactly symmetric (each unordered pair is
     evaluated once).  Raises ``TooLargeError`` when the matrix would exceed
-    ``_MAX_MATRIX_BYTES``.
+    ``core._MAX_MATRIX_BYTES``.
     """
     x = _as_matrix(ds)
     n, p = x.shape
-    if 8 * n * n > _MAX_MATRIX_BYTES:
-        raise TooLargeError(
-            f"{n} rows need a {8 * n * n / 2**30:.2f} GiB distance matrix, "
-            f"over its {_MAX_MATRIX_BYTES / 2**30:g} GiB budget "
-            f"(n <= {int((_MAX_MATRIX_BYTES // 8) ** 0.5)})"
-        )
+    _check_matrix_rows(n)
     if p <= _TREE_SUM_DIM:
         return squareform(pdist(x))
 

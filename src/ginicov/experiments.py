@@ -186,17 +186,21 @@ def _normality_z(payload) -> float | None:
     ).z
 
 
+def _check_kde_replicates(replicates: int) -> None:
+    if replicates < 2:
+        raise ValueError(
+            f"the normality study's KDE needs at least 2 replicates, "
+            f"got {replicates}"
+        )
+
+
 def normality_study(cfg: StudyConfig, threads: int = 0) -> NormalityRow:
     """Collect standardized statistics under the null and measure how far
     their KDE sits from the standard normal density."""
     scenario = replace(cfg.scenario, seed=cfg.root_seed)
     if scenario.example != 1:
         raise ValueError("the normality study uses the null design (example 1)")
-    if cfg.replicates < 2:
-        raise ValueError(
-            f"the normality study's KDE needs at least 2 replicates, "
-            f"got {cfg.replicates}"
-        )
+    _check_kde_replicates(cfg.replicates)
     payloads = [(scenario, r) for r in range(cfg.replicates)]
     zs = _run_tasks(_normality_z, payloads, threads)
     z = np.asarray([0.0 if v is None else v for v in zs])

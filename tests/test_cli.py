@@ -126,6 +126,28 @@ class TestCmdTest:
         assert captured.out == ""
         assert captured.err.startswith("error: 11586 rows need")
 
+    @pytest.mark.parametrize(
+        "name, content",
+        [
+            ("latin1.csv", b"y,x\na,1\na,2\nb,\xe93\nb,4\n"),
+            ("wide_field.csv", b"y,x\na,1\na,2\nb," + b"3" * 131073 + b"\nb,4\n"),
+            ("folder.csv", None),
+        ],
+        ids=["not-utf8", "field-over-limit", "directory"],
+    )
+    def test_unreadable_input_exits_one(self, tmp_path, capsys, name, content):
+        f = tmp_path / name
+        if content is None:
+            f.mkdir()
+        else:
+            f.write_bytes(content)
+        code = main(["test", "--input", str(f), "--label-col", "y"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {f}: ")
+        assert captured.err.count("\n") == 1
+
     def test_label_col_by_index_without_header(self, tmp_path, capsys):
         f = tmp_path / "nh.csv"
         f.write_text("a,0\na,2\nb,1\nb,3\n")
@@ -363,6 +385,34 @@ class TestCmdNormality:
         assert la[0] == lb[0]
         assert len(la) == len(lb)
         assert la[3:] != lb[3:]
+
+
+class TestSettingsBeforeProvenance:
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (
+                ["simulate", "--example", "2", "--p", "4", "--sizes", "3,3,3",
+                 "--reps", "2", "--threads", "-1"],
+                "threads must be >= 0",
+            ),
+            (["normality", "--p", "4", "--reps", "2", "--threads", "-1"],
+             "threads must be >= 0"),
+            (["normality", "--p", "4", "--reps", "1"], "the normality study's KDE"),
+        ],
+        ids=["simulate-threads", "normality-threads", "normality-reps"],
+    )
+    def test_bad_setting_exits_two_without_provenance(
+        self, tmp_path, capsys, args, message
+    ):
+        out = tmp_path / "x.csv"
+        code = main(args + ["--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage error: {message}")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestStdoutDiscipline:

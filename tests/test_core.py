@@ -1,3 +1,6 @@
+import csv
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from ginicov import (
     RaggedRowsError,
     TinyClassError,
     TooFewClassesError,
+    TooLargeError,
     group_index,
     load_csv,
     validate_for_testing,
@@ -146,6 +150,78 @@ class TestLoadCsvRowParse:
         assert ds.data[0].tolist() == [1.5, 1000.0, 1e-320]
         assert ds.data[0, 2] == float("1e-320") != 0.0
         assert np.signbit(ds.data[1, 0])
+
+
+def traced_peak(fn):
+    """Return value and traced allocation peak (bytes) of ``fn()``."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestLoadCsvOnePass:
+    """Rows are checked and converted as they are read; no table of cell
+    strings is built."""
+
+    def test_traced_peak_stays_near_the_result(self, tmp_path):
+        rng = np.random.default_rng(11)
+        labels = tuple(str(v) for v in rng.integers(1, 4, 300))
+        ds = LabeledDataset(rng.standard_normal((300, 2000)), labels)
+        f = tmp_path / "wide.csv"
+        write_csv(ds, f)
+        back, peak = traced_peak(lambda: load_csv(f, "label"))
+        assert np.array_equal(back.data, ds.data)
+        assert back.labels == labels
+        assert peak < 2.5 * back.data.nbytes
+
+    def test_oversized_file_is_refused_at_the_row_past_the_budget(self, tmp_path):
+        f = tmp_path / "tall.csv"
+        rows = "".join(f"{'ab'[i % 2]},{i},{-i}\n" for i in range(4 * 11586))
+        # a malformed last row is never reached
+        f.write_text("y,x1,x2\n" + rows + "b,oops,1\n")
+
+        def refuse():
+            with pytest.raises(TooLargeError, match="^11586 rows need"):
+                load_csv(f, "y")
+
+        def parse():
+            with open(f, newline="") as fh:
+                return len(list(csv.reader(fh)))
+
+        _, refused = traced_peak(refuse)
+        _, full = traced_peak(parse)
+        assert refused < full / 3
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        f = tmp_path / "bom.csv"
+        f.write_text("label,x\na,1\nb,2\n", encoding="utf-8-sig")
+        assert load_csv(f, "label").labels == ("a", "b")
+        f.write_text("1,a\n2,b\n", encoding="utf-8-sig")
+        assert load_csv(f, 1, has_header=False).data.tolist() == [[1.0], [2.0]]
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"y,x\na,1\nb,\xff2\n", r"not UTF-8 text \(byte 0xff"),
+            (b"y,x\na,1\nb," + b"1" * 131073 + b"\n", "line 3: field larger"),
+        ],
+        ids=["not-utf8", "field-over-limit"],
+    )
+    def test_unreadable_content_is_a_data_error(self, tmp_path, content, message):
+        f = tmp_path / "d.csv"
+        f.write_bytes(content)
+        with pytest.raises(GinicovError, match=message) as exc:
+            load_csv(f, "y")
+        assert type(exc.value) is GinicovError
+        assert str(exc.value).startswith(f"{f}: ")
+
+    def test_header_error_comes_before_a_later_read_error(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text("y,x\na,1\nb," + "1" * 131073 + "\n")
+        with pytest.raises(GinicovError, match="label column 'label' not found"):
+            load_csv(f, "label")
 
 
 class TestLabeledDataset:
