@@ -31,8 +31,6 @@ from .estimators import (
     GiniEstimates,
     dcov_stat,
     dist_variance,
-    gini_cor,
-    gini_cov,
     gini_estimates,
     gmd,
     sigma0_sq,
@@ -83,8 +81,6 @@ __all__ = [
     "TooSmallError",
     "dcov_stat",
     "dist_variance",
-    "gini_cor",
-    "gini_cov",
     "gini_estimates",
     "gini_normal_test",
     "gmd",

@@ -71,12 +71,10 @@ class LabeledDataset:
 
 @dataclass(frozen=True, eq=False)
 class GroupIndex:
-    """Partition of rows by class: identifiers, row indices, counts, shares."""
+    """Partition of rows by class: identifiers, counts and each row's class."""
 
     classes: tuple
-    indices: tuple
     counts: np.ndarray
-    proportions: np.ndarray
     n: int
     codes: np.ndarray  # class position of each row
 
@@ -93,12 +91,9 @@ def group_index(ds: LabeledDataset) -> GroupIndex:
     )
     classes = tuple(position)
     counts = np.bincount(codes).astype(np.int64)
-    order = np.argsort(codes, kind="stable")
-    indices = tuple(np.split(order, np.cumsum(counts)[:-1]))
-    proportions = counts / float(ds.n)
-    for arr in (*indices, counts, proportions, codes):
+    for arr in (counts, codes):
         arr.setflags(write=False)
-    return GroupIndex(classes, indices, counts, proportions, ds.n, codes)
+    return GroupIndex(classes, counts, ds.n, codes)
 
 
 def validate_for_testing(gi: GroupIndex) -> None:

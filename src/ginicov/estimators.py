@@ -45,25 +45,6 @@ def _dcov_from_sums(pooled_sum, class_sums, class_rows, counts, n):
     return -2.0 * centered.sum(axis=-1) / (n * (n - 3))
 
 
-def gini_cov(d: np.ndarray, gi: GroupIndex) -> float:
-    """Sample Gini covariance: pooled GMD minus proportion-weighted class
-    GMDs.  May be negative in finite samples."""
-    validate_for_testing(gi)
-    pooled, per_class = group_gmd_inputs(d, gi)
-    return float(_gini_from_sums(pooled, per_class, gi.counts, gi.n))
-
-
-def gini_cor(d: np.ndarray, gi: GroupIndex):
-    """Sample Gini correlation, or None when the pooled GMD is zero
-    (all points coincide, 0/0)."""
-    validate_for_testing(gi)
-    pooled, per_class = group_gmd_inputs(d, gi)
-    u_pool = pooled / comb(gi.n, 2)
-    if u_pool <= 0.0:
-        return None
-    return float(_gini_from_sums(pooled, per_class, gi.counts, gi.n)) / u_pool
-
-
 def dist_variance(a: np.ndarray) -> float:
     """Bias-corrected squared distance variance of a U-centered matrix:
     the mean of the squared off-diagonal entries scaled by 1/(n(n-3))."""
@@ -123,17 +104,17 @@ class GiniEstimates:
     gcor: float | None
     v2n: float
     sigma0_sq: float
-    n: int
-    n_classes: int
-    counts: np.ndarray
 
 
 def gini_estimates(d: np.ndarray, gi: GroupIndex) -> GiniEstimates:
-    """Compute the full set of estimates from one distance matrix.
+    """Compute the full set of estimates from one distance matrix; the one
+    public entry for the sample Gini covariance and correlation.
 
     Needs n >= 4 for the bias-corrected distance variance.  The covariance
     is assembled as ``delta_hat - sum(p_k * delta_k_hat)`` so the
-    reconstruction identity holds exactly by construction.
+    reconstruction identity holds exactly by construction; it may be
+    negative in finite samples.  The correlation ``gcov / delta_hat`` is
+    None when the pooled GMD is zero (all points coincide, 0/0).
     """
     validate_for_testing(gi)
     pooled, per_class = group_gmd_inputs(d, gi)
@@ -151,7 +132,4 @@ def gini_estimates(d: np.ndarray, gi: GroupIndex) -> GiniEstimates:
         gcor=gcor,
         v2n=v2n,
         sigma0_sq=sigma0_sq(gi, v2n),
-        n=gi.n,
-        n_classes=gi.k,
-        counts=gi.counts,
     )

@@ -16,11 +16,11 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .core import group_index
+from .core import _check_matrix_rows, group_index
 from .distmat import pairwise_distances
 from .errors import DegenerateSampleError
 from .ktest import (
@@ -76,6 +76,8 @@ class StudyConfig:
                 )
         if set(self.methods) - {METHOD_GINI_NORMAL}:
             _check_permutations(self.permutations)
+        # an over-budget sample is refused before any data is generated
+        _check_matrix_rows(sum(self.scenario.sizes))
 
     @property
     def root_seed(self) -> int:
@@ -143,8 +145,9 @@ def kde_gaussian(samples, bandwidth="auto", grid=KDE_GRID) -> np.ndarray:
         h = silverman_bandwidth(z)
     else:
         h = float(bandwidth)
-        if h <= 0.0:
-            raise ValueError(f"bandwidth must be positive, got {h}")
+        # written so that NaN fails too
+        if not 0.0 < h < math.inf:
+            raise ValueError(f"bandwidth must be positive and finite, got {h}")
     xs = grid_points(*grid)
     u = (xs[:, None] - z[None, :]) / h
     dens = np.exp(-0.5 * u * u).sum(axis=1)
@@ -169,9 +172,10 @@ def _resolve_workers(threads: int) -> int:
 
 
 def _run_tasks(worker, payloads, threads: int):
-    """Map worker over payloads, in order; 1 worker stays in-process."""
-    workers = _resolve_workers(threads)
-    if workers == 1 or len(payloads) == 1:
+    """Map worker over payloads, in order, on at most one worker per
+    payload; 1 worker stays in-process."""
+    workers = min(_resolve_workers(threads), len(payloads))
+    if workers <= 1:
         return [worker(p) for p in payloads]
     chunk = max(1, len(payloads) // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -270,53 +274,28 @@ def size_power_study(cfg: StudyConfig, beta_grid, threads: int = 0) -> list:
     return rows
 
 
-def _sizes_field(sizes) -> str:
-    return ",".join(str(s) for s in sizes)
+def _power_records(rows) -> list:
+    """One record per study row, keyed by the columns of ``POWER_CSV_HEADER``;
+    elapsed_ms is None, so identical runs give byte-identical files."""
+    return [{**asdict(row), "elapsed_ms": None} for row in rows]
 
 
 def write_power_csv(rows, path) -> None:
-    """Write study rows under the fixed header.
-
-    elapsed_ms is left empty, so identical runs produce byte-identical
-    files.
-    """
+    """Write study rows under the fixed header; sizes is one comma-joined
+    field and elapsed_ms is left empty."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(POWER_CSV_HEADER.split(","))
-        for row in rows:
-            writer.writerow(
-                [
-                    row.example,
-                    row.p,
-                    _sizes_field(row.sizes),
-                    row.beta,
-                    row.method,
-                    row.alpha,
-                    row.replicates,
-                    row.rejection_rate,
-                    "",
-                ]
-            )
+        writer = csv.DictWriter(
+            fh, POWER_CSV_HEADER.split(","), lineterminator="\n"
+        )
+        writer.writeheader()
+        for rec in _power_records(rows):
+            writer.writerow({**rec, "sizes": ",".join(map(str, rec["sizes"]))})
 
 
 def write_power_json(rows, path) -> None:
     """JSON mirror of the CSV emission (elapsed_ms is null)."""
-    payload = []
-    for row in rows:
-        entry = {
-            "example": row.example,
-            "p": row.p,
-            "sizes": list(row.sizes),
-            "beta": row.beta,
-            "method": row.method,
-            "alpha": row.alpha,
-            "replicates": row.replicates,
-            "rejection_rate": row.rejection_rate,
-            "elapsed_ms": None,
-        }
-        payload.append(entry)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump(_power_records(rows), fh, indent=2)
         fh.write("\n")
 
 

@@ -23,7 +23,6 @@ from ginicov import (
     LabeledDataset,
     ScenarioSpec,
     StudyConfig,
-    gini_cov,
     gini_estimates,
     group_index,
     normality_study,
@@ -132,8 +131,8 @@ def test_criterion_02_algebraic_invariants():
         assert np.abs(a.sum(axis=0)).max() <= budget
         gi = group_index(ds)
         est = gini_estimates(d, gi)
-        recon = est.delta_hat - float(np.dot(gi.proportions, est.delta_k_hat))
-        assert abs(gini_cov(d, gi) - recon) <= 1e-12 * (abs(recon) + 1.0)
+        recon = est.delta_hat - float(np.dot(gi.counts / gi.n, est.delta_k_hat))
+        assert abs(est.gcov - recon) <= 1e-12 * (abs(recon) + 1.0)
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
     report(2, True, f"200 datasets checked in {elapsed:.2f} s")

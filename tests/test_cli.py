@@ -414,6 +414,33 @@ class TestSettingsBeforeProvenance:
         assert captured.err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["simulate", "--example", "2", "--p", "1", "--sizes", "11582,2,2",
+             "--reps", "2", "--threads", "1"],
+            ["normality", "--p", "1", "--sizes", "12000,2", "--reps", "2",
+             "--threads", "1"],
+        ],
+        ids=["simulate", "normality"],
+    )
+    def test_over_budget_study_exits_one_without_provenance(
+        self, tmp_path, capsys, monkeypatch, args
+    ):
+        def no_generation(*a):
+            raise AssertionError("an over-budget study generated data")
+
+        monkeypatch.setattr(ginicov.experiments, "scenario_dataset", no_generation)
+        out = tmp_path / "x.csv"
+        code = main(args + ["--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "rows need a" in captured.err
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestStdoutDiscipline:
     def test_stdout_machine_readable_only(self, four_csv):

@@ -248,19 +248,19 @@ class TestGroupIndex:
         gi = group_index(make_ds("aabbb"))
         assert gi.classes == ("a", "b")
         assert gi.counts.tolist() == [2, 3]
-        assert gi.proportions.tolist() == [0.4, 0.6]
+        assert (gi.counts / gi.n).tolist() == [0.4, 0.6]
 
     def test_single_class(self):
         gi = group_index(make_ds("aaa"))
         assert gi.k == 1
         assert gi.counts.tolist() == [3]
-        assert gi.proportions.tolist() == [1.0]
+        assert (gi.counts / gi.n).tolist() == [1.0]
 
     def test_first_appearance_order(self):
         gi = group_index(make_ds("caca"))
         assert gi.classes == ("c", "a")
-        assert gi.indices[0].tolist() == [0, 2]
-        assert gi.indices[1].tolist() == [1, 3]
+        assert np.flatnonzero(gi.codes == 0).tolist() == [0, 2]
+        assert np.flatnonzero(gi.codes == 1).tolist() == [1, 3]
         assert gi.codes.tolist() == [0, 1, 0, 1]
 
     def test_partition_property(self):
@@ -269,12 +269,12 @@ class TestGroupIndex:
             n = int(rng.integers(2, 60))
             labels = tuple(int(v) for v in rng.integers(0, 5, n))
             gi = group_index(make_ds(labels))
-            seen = np.concatenate([ix for ix in gi.indices])
-            assert sorted(seen.tolist()) == list(range(n))
             assert int(gi.counts.sum()) == n
-            assert abs(float(gi.proportions.sum()) - 1.0) <= 1e-12
-            for c, ix in enumerate(gi.indices):
-                assert (gi.codes[ix] == c).all()
+            assert abs(float((gi.counts / gi.n).sum()) - 1.0) <= 1e-12
+            for c, lab in enumerate(gi.classes):
+                rows = np.flatnonzero(gi.codes == c)
+                assert rows.size == gi.counts[c]
+                assert all(labels[i] == lab for i in rows)
 
 
 class TestValidateForTesting:

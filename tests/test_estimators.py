@@ -11,8 +11,6 @@ from ginicov import (
     TooFewClassesError,
     dcov_stat,
     dist_variance,
-    gini_cor,
-    gini_cov,
     gini_estimates,
     gmd,
     group_index,
@@ -35,10 +33,15 @@ def u_stat(d, idx):
     return sum(d[i, j] for i, j in pairs) / len(pairs)
 
 
+def class_rows(gi):
+    """Ascending row indices of each class, in class order."""
+    return [np.flatnonzero(gi.codes == c) for c in range(gi.k)]
+
+
 def gcov_by_loops(d, gi):
     idx_all = list(range(gi.n))
     total = u_stat(d, idx_all)
-    for ix, cnt in zip(gi.indices, gi.counts):
+    for ix, cnt in zip(class_rows(gi), gi.counts):
         total -= (int(cnt) / gi.n) * u_stat(d, list(ix))
     return total
 
@@ -63,20 +66,22 @@ class TestGiniCovCor:
     def test_hand_values(self):
         d = pairwise_distances(FOUR)
         gi = group_index(FOUR)
-        assert abs(gini_cov(d, gi) - (-1.0 / 3.0)) <= 1e-12
-        assert abs(gini_cor(d, gi) - (-0.2)) <= 1e-12
+        est = gini_estimates(d, gi)
+        assert abs(est.gcov - (-1.0 / 3.0)) <= 1e-12
+        assert abs(est.gcor - (-0.2)) <= 1e-12
 
     def test_all_identical(self):
         ds = LabeledDataset(np.ones((6, 3)), ("a",) * 3 + ("b",) * 3)
         d = pairwise_distances(ds)
         gi = group_index(ds)
-        assert gini_cov(d, gi) == 0.0
-        assert gini_cor(d, gi) is None
+        est = gini_estimates(d, gi)
+        assert est.gcov == 0.0
+        assert est.gcor is None
 
     def test_single_class_gated(self):
         ds = LabeledDataset(np.arange(4.0).reshape(-1, 1), ("a",) * 4)
         with pytest.raises(TooFewClassesError):
-            gini_cov(pairwise_distances(ds), group_index(ds))
+            gini_estimates(pairwise_distances(ds), group_index(ds))
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(11)
@@ -87,7 +92,8 @@ class TestGiniCovCor:
             d = pairwise_distances(ds)
             gi = group_index(ds)
             scale = abs(gcov_by_loops(d, gi)) + 1.0
-            assert abs(gini_cov(d, gi) - gcov_by_loops(d, gi)) <= 1e-12 * scale
+            gcov = gini_estimates(d, gi).gcov
+            assert abs(gcov - gcov_by_loops(d, gi)) <= 1e-12 * scale
 
     def test_gcor_monotone_toward_one(self):
         # two widely separated classes approach perfect correlation
@@ -97,7 +103,7 @@ class TestGiniCovCor:
             ds = LabeledDataset(x.reshape(-1, 1), ("a",) * 5 + ("b",) * 5)
             d = pairwise_distances(ds)
             gi = group_index(ds)
-            got = gini_cor(d, gi)
+            got = gini_estimates(d, gi).gcor
             # brute-force oracle over all pairs
             ref = gcov_by_loops(d, gi) / u_stat(d, list(range(10)))
             assert abs(got - ref) <= 1e-12
@@ -232,7 +238,7 @@ class TestGiniEstimates:
             gi = group_index(ds)
             est = gini_estimates(pairwise_distances(ds), gi)
             recon = est.delta_hat - float(
-                np.dot(gi.proportions, est.delta_k_hat)
+                np.dot(gi.counts / gi.n, est.delta_k_hat)
             )
             assert abs(est.gcov - recon) <= 1e-12 * (abs(recon) + 1.0)
 
@@ -240,12 +246,8 @@ class TestGiniEstimates:
         d = pairwise_distances(FOUR)
         gi = group_index(FOUR)
         est = gini_estimates(d, gi)
-        assert est.gcov == gini_cov(d, gi)
-        assert est.gcor == gini_cor(d, gi)
         assert est.v2n == dist_variance(u_center(d))
         assert est.sigma0_sq == sigma0_sq(gi, est.v2n)
-        assert est.n == 4 and est.n_classes == 2
-        assert est.counts.tolist() == [2, 2]
 
     def test_scale_equivariance(self):
         rng = np.random.default_rng(16)
@@ -303,7 +305,7 @@ class TestNullRepresentation:
         bracket2 = p1
         bracket3 = p2
         class_first_order = []
-        for ix, cnt in zip(gi.indices, gi.counts):
+        for ix, cnt in zip(class_rows(gi), gi.counts):
             cnt = int(cnt)
             w = cnt / n
             members = list(ix)
@@ -338,7 +340,7 @@ class TestNullRepresentation:
             ds = LabeledDataset(rng.standard_normal((n, 2)), labels)
             d = pairwise_distances(ds)
             gi = group_index(ds)
-            gcov = gini_cov(d, gi)
+            gcov = gini_estimates(d, gi).gcov
             b1, b2, b3, c1s = self.decompose(d, gi, "pooled")
             scale = abs(gcov) + 1.0
             assert abs(b1) <= 1e-12 * scale
@@ -356,7 +358,7 @@ class TestNullRepresentation:
         )
         d = pairwise_distances(ds)
         gi = group_index(ds)
-        gcov = gini_cov(d, gi)
+        gcov = gini_estimates(d, gi).gcov
         b1, b2, b3, c1s = self.decompose(d, gi, "own")
         scale = abs(gcov) + 1.0
         # own-sample centering kills every first-order sum identically
@@ -373,7 +375,7 @@ class TestNullRepresentation:
         )
         d = pairwise_distances(ds)
         gi = group_index(ds)
-        gcov = gini_cov(d, gi)
+        gcov = gini_estimates(d, gi).gcov
         b1, b2, b3, _ = self.decompose(d, gi, "mixed")
         scale = abs(gcov) + 1.0
         assert abs((b1 + b2 + b3) - gcov) <= 1e-12 * scale
@@ -390,7 +392,7 @@ class TestNullRepresentation:
         ds = LabeledDataset(data, (0, 0, 1, 1))
         d = pairwise_distances(ds)
         gi = group_index(ds)
-        gcov = gini_cov(d, gi)
+        gcov = gini_estimates(d, gi).gcov
         assert gcov == 0.0
         b1, b2, b3, _ = self.decompose(d, gi, "mixed")
         assert abs(b2) <= 1e-12

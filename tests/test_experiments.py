@@ -1,3 +1,4 @@
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -8,12 +9,15 @@ from ginicov import (
     DegenerateSampleError,
     ScenarioSpec,
     StudyConfig,
+    TooLargeError,
     kde_gaussian,
     normality_study,
     size_power_study,
 )
 from ginicov.experiments import (
     POWER_CSV_HEADER,
+    _power_records,
+    _run_tasks,
     grid_points,
     max_gap_to_normal,
     silverman_bandwidth,
@@ -44,8 +48,9 @@ class TestKde:
             kde_gaussian([1.0])
 
     def test_bad_bandwidth(self):
-        with pytest.raises(ValueError):
-            kde_gaussian([0.0, 1.0], bandwidth=0.0)
+        for bandwidth in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                kde_gaussian([0.0, 1.0], bandwidth=bandwidth)
 
     def test_silverman_uses_robust_spread(self):
         z = substream(62).standard_normal(800)
@@ -130,6 +135,49 @@ class TestNormalityStudy:
         b = normality_study(cfg, threads=2)
         assert np.array_equal(a.z_samples, b.z_samples)
         assert a.max_density_gap == b.max_density_gap
+
+
+class RecordingExecutor:
+    """Stand-in for ProcessPoolExecutor: records its worker count and maps
+    in-process, so no process is started."""
+
+    max_workers = []
+
+    def __init__(self, max_workers):
+        RecordingExecutor.max_workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        return map(fn, iterable)
+
+
+class TestRunTasks:
+    CORES = os.cpu_count() or 1
+
+    @pytest.mark.parametrize(
+        "tasks, threads, pools",
+        [
+            (2, 64, [2]),
+            (9, 3, [3]),
+            (3, 0, [min(3, CORES)] if CORES > 1 else []),
+            (1, 8, []),
+            (2, 1, []),
+            (0, 4, []),
+        ],
+    )
+    def test_never_more_workers_than_tasks(self, monkeypatch, tasks, threads, pools):
+        monkeypatch.setattr(RecordingExecutor, "max_workers", [])
+        monkeypatch.setattr(
+            ginicov.experiments, "ProcessPoolExecutor", RecordingExecutor
+        )
+        payloads = list(range(-tasks, 0))
+        assert _run_tasks(abs, payloads, threads) == [abs(p) for p in payloads]
+        assert RecordingExecutor.max_workers == pools
 
 
 class TestSizePowerStudy:
@@ -276,6 +324,13 @@ class TestEmission:
         assert lines[1].startswith('2,5,"4,4,4",0.0,gini-normal,0.05,5,')
         assert f1.read_bytes() == f2.read_bytes()
 
+    def test_one_record_per_row_keyed_by_the_header(self):
+        records = _power_records(self._rows())
+        assert len(records) == 2
+        for rec in records:
+            assert list(rec) == POWER_CSV_HEADER.split(",")
+            assert rec["elapsed_ms"] is None
+
     def test_power_json_mirror(self, tmp_path):
         import json
 
@@ -342,6 +397,16 @@ class TestStudyConfig:
         scen = ScenarioSpec(example=2, p=4, sizes=(3, 3, 3))
         cfg = StudyConfig(scenario=scen, replicates=1, permutations=0)
         assert cfg.methods == ("gini-normal",)
+
+    @pytest.mark.parametrize("example, sizes", [(1, (11584, 2)), (2, (11582, 2, 2))])
+    def test_refuses_a_sample_over_the_distance_matrix_budget(self, example, sizes):
+        scen = ScenarioSpec(example=example, p=1, sizes=sizes)
+        with pytest.raises(TooLargeError, match="^11586 rows need"):
+            StudyConfig(scenario=scen, replicates=1)
+
+    def test_accepts_the_largest_sample_within_budget(self):
+        scen = ScenarioSpec(example=2, p=1, sizes=(11581, 2, 2))
+        assert sum(StudyConfig(scenario=scen, replicates=1).scenario.sizes) == 11585
 
     def test_root_seed_override(self):
         scen = ScenarioSpec(example=2, p=4, sizes=(3, 3, 3), seed=5)

@@ -69,14 +69,15 @@ def reference_perm_test(d, gi, statistic, permutations, seed):
             weighted += (ix.size / n) * (s / math.comb(ix.size, 2))
         return u_pool - weighted
 
-    t_obs = evaluate(gi.indices)
+    classes = [np.flatnonzero(gi.codes == c) for c in range(gi.k)]
+    t_obs = evaluate(classes)
     arange = np.arange(n)
     inv = np.empty(n, dtype=np.intp)
     n_ge = 0
     for b in range(1, permutations + 1):
         perm = substream(seed, b).permutation(n)
         inv[perm] = arange
-        n_ge += evaluate([inv[ix] for ix in gi.indices]) >= t_obs
+        n_ge += evaluate([inv[ix] for ix in classes]) >= t_obs
     return t_obs, (1.0 + n_ge) / (permutations + 1.0)
 
 
