@@ -15,7 +15,7 @@ from .core import (
     validate_for_testing,
     write_csv,
 )
-from .distmat import group_gmd_inputs, pairwise_distances, u_center
+from .distmat import pairwise_distances, u_center
 from .errors import (
     DegenerateSampleError,
     EmptyDatasetError,
@@ -29,7 +29,6 @@ from .errors import (
 )
 from .estimators import (
     GiniEstimates,
-    dcov_stat,
     dist_variance,
     gini_estimates,
     gmd,
@@ -50,7 +49,6 @@ from .ktest import (
     TestResult,
     gini_normal_test,
     normal_cdf,
-    normal_quantile,
     permutation_test,
 )
 from .simgen import ScenarioSpec, scenario_dataset
@@ -79,17 +77,14 @@ __all__ = [
     "TooFewClassesError",
     "TooLargeError",
     "TooSmallError",
-    "dcov_stat",
     "dist_variance",
     "gini_estimates",
     "gini_normal_test",
     "gmd",
-    "group_gmd_inputs",
     "group_index",
     "kde_gaussian",
     "load_csv",
     "normal_cdf",
-    "normal_quantile",
     "normality_study",
     "pairwise_distances",
     "permutation_test",

@@ -11,7 +11,9 @@ machine-readable results; diagnostics and provenance go to stderr.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 import time
 
@@ -66,6 +68,7 @@ def cmd_test(args) -> int:
     _check_alpha(args.alpha)
     if args.method != METHOD_GINI_NORMAL:
         _check_permutations(args.permutations)
+    _resolve_workers(args.threads)
     ds = load_csv(args.input, args.label_col, not args.no_header)
     if args.method == METHOD_GINI_NORMAL:
         res = gini_normal_test(ds, alpha=args.alpha)
@@ -99,6 +102,20 @@ def cmd_test(args) -> int:
     out["degenerate"] = res.degenerate
     print(json.dumps(out))
     return 0
+
+
+def _check_out_path(path: str) -> None:
+    """Refuse an output path that is empty, is a directory or lies in a
+    missing one, before a study spends any work on it."""
+    if not path:
+        raise FileNotFoundError(errno.ENOENT, "output path is empty", path)
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, "output path is a directory", path)
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise FileNotFoundError(
+            errno.ENOENT, "output directory does not exist", parent
+        )
 
 
 def _blas() -> dict | None:
@@ -143,6 +160,9 @@ def cmd_simulate(args) -> int:
         seed=args.seed,
     )
     _resolve_workers(args.threads)  # usage errors come before provenance
+    _check_out_path(args.out)
+    if args.json_out:
+        _check_out_path(args.json_out)
     _provenance(
         {
             "subcommand": "simulate",
@@ -176,6 +196,7 @@ def cmd_normality(args) -> int:
     # usage errors come before provenance
     _check_kde_replicates(cfg.replicates)
     _resolve_workers(args.threads)
+    _check_out_path(args.out)
     _provenance(
         {
             "subcommand": "normality",
@@ -271,7 +292,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (GinicovError, FileNotFoundError) as exc:
+    except (GinicovError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _DATA_ERROR
     except ValueError as exc:

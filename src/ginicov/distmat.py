@@ -24,7 +24,7 @@ import os
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
-from .core import GroupIndex, LabeledDataset, _check_matrix_rows
+from .core import LabeledDataset, _check_matrix_rows
 from .errors import TooSmallError
 
 # Above this many coordinates, accumulate squared differences with numpy's
@@ -146,40 +146,27 @@ def _one_thread_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         set_(before)
 
 
+def _block_pair_sums(d: np.ndarray, codes: np.ndarray, k: int) -> np.ndarray:
+    """Sums of ``d`` over unordered pairs within each class of one labelling
+    in [0, k), each class block summed by numpy's pairwise reduction."""
+    ends = np.cumsum(np.bincount(codes, minlength=k))[:-1]
+    blocks = np.split(np.argsort(codes, kind="stable"), ends)
+    return np.array([d[ix[:, None], ix].sum() for ix in blocks]) / 2.0
+
+
 def class_pair_sums(d: np.ndarray, labelings, k: int) -> np.ndarray:
     """Sums of ``d`` over unordered pairs within each class, shape (L, k),
     for an (L, n) array of labellings in [0, k).
 
-    Blocks of two or more labellings with at most ``_ONEHOT_MAX_K`` classes
-    take one single-threaded BLAS product with a one-hot label matrix, whose
-    sums may differ from a pairwise reduction in the last bits.  Otherwise
-    each class block is summed by numpy's pairwise reduction, as the normal
-    test's ill-conditioned z needs for its single labelling.
+    With at most ``_ONEHOT_MAX_K`` classes the block takes one single-threaded
+    BLAS product with a one-hot label matrix, whose sums may differ from a
+    pairwise reduction in the last bits; with more, each labelling's class
+    blocks are summed one by one.
     """
+    if k > _ONEHOT_MAX_K:
+        return np.array([_block_pair_sums(d, lab, k) for lab in labelings])
     m, n = labelings.shape
-    if m == 1 or k > _ONEHOT_MAX_K:
-        sums = np.empty((m, k))
-        for lab, row in zip(labelings, sums):
-            ends = np.cumsum(np.bincount(lab, minlength=k))[:-1]
-            blocks = np.split(np.argsort(lab, kind="stable"), ends)
-            row[:] = [d[ix[:, None], ix].sum() for ix in blocks]
-        return sums / 2.0
     onehot = np.zeros((n, m * k))
     onehot[np.arange(n)[:, None], labelings.T + k * np.arange(m)] = 1.0
     within = _one_thread_product(d, onehot)
     return np.einsum("il,il->l", onehot, within).reshape(m, k) / 2.0
-
-
-def group_gmd_inputs(d: np.ndarray, gi: GroupIndex):
-    """Pooled and per-class sums of distances over unordered pairs.
-
-    Returns ``(pooled, per_class)`` where ``pooled`` sums d[i, j] over all
-    i < j and ``per_class[k]`` sums over pairs inside class k.  Halving the
-    symmetric full sum is exact in binary arithmetic.
-    """
-    if d.shape[0] != gi.n:
-        raise ValueError(
-            f"distance matrix size {d.shape[0]} does not match index n={gi.n}"
-        )
-    pooled = float(d.sum()) / 2.0
-    return pooled, class_pair_sums(d, gi.codes[None, :], gi.k)[0]

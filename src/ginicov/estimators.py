@@ -17,7 +17,7 @@ from math import comb
 import numpy as np
 
 from .core import GroupIndex, validate_for_testing
-from .distmat import group_gmd_inputs, u_center
+from .distmat import _block_pair_sums, u_center
 from .errors import TinyClassError, TooSmallError
 
 
@@ -36,7 +36,8 @@ def _gini_from_sums(pooled_sum, class_sums, counts, n):
 
 
 def _dcov_from_sums(pooled_sum, class_sums, class_rows, counts, n):
-    """dCov from the class pair sums S_k and the class totals R_k of the row
+    """Unbiased sample dCov between the sample and its labels (0/1 label
+    metric) from the class pair sums S_k and the class totals R_k of the row
     sums of d: the U-centered matrix sums to ``S_k - (n_k-1) R_k/(n-2) +
     C(n_k,2) T/((n-1)(n-2))`` over class k, with T the full sum of d."""
     pairs = counts * (counts - 1) / 2
@@ -76,24 +77,6 @@ def sigma0_sq(gi: GroupIndex, v2n: float) -> float:
     return bracket * v2n
 
 
-def dcov_stat(d: np.ndarray, gi: GroupIndex) -> float:
-    """Distance-covariance comparator: the unbiased sample dCov between the
-    numeric sample and its labels under the discrete label metric.
-
-    Against the zero-diagonal 0/1 label-distance matrix, the U-centered
-    cross sum collapses to the within-class sums of the U-centered distance
-    matrix, giving ``-sum_k A_k / (n (n-3))`` with ``A_k`` the off-diagonal
-    within-class total.  Its population target carries the squared class
-    weights that let large classes dominate.  Consumed only by permutation
-    calibration, where any monotone-equivalent normalization gives the same
-    p-value.
-    """
-    validate_for_testing(gi)
-    pooled, per_class = group_gmd_inputs(d, gi)
-    class_rows = np.bincount(gi.codes, weights=d.sum(axis=1), minlength=gi.k)
-    return float(_dcov_from_sums(pooled, per_class, class_rows, gi.counts, gi.n))
-
-
 @dataclass(frozen=True, eq=False)
 class GiniEstimates:
     """Every sample quantity the normal-limit test needs, computed once."""
@@ -117,7 +100,13 @@ def gini_estimates(d: np.ndarray, gi: GroupIndex) -> GiniEstimates:
     None when the pooled GMD is zero (all points coincide, 0/0).
     """
     validate_for_testing(gi)
-    pooled, per_class = group_gmd_inputs(d, gi)
+    if d.shape[0] != gi.n:
+        raise ValueError(
+            f"distance matrix size {d.shape[0]} does not match index n={gi.n}"
+        )
+    # halving the symmetric full sum is exact in binary arithmetic
+    pooled = float(d.sum()) / 2.0
+    per_class = _block_pair_sums(d, gi.codes, gi.k)
     delta_hat = gmd(pooled, gi.n)
     delta_k = np.array(
         [gmd(s, int(cnt)) for s, cnt in zip(per_class, gi.counts)]

@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import _check_matrix_rows, group_index
 from .distmat import pairwise_distances
-from .errors import DegenerateSampleError
+from .errors import DegenerateSampleError, TooFewClassesError
 from .ktest import (
     METHOD_DCOV_PERM,
     METHOD_GINI_NORMAL,
@@ -76,7 +76,12 @@ class StudyConfig:
                 )
         if set(self.methods) - {METHOD_GINI_NORMAL}:
             _check_permutations(self.permutations)
-        # an over-budget sample is refused before any data is generated
+        # a one-class or over-budget sample is refused before any data is
+        # generated
+        if len(self.scenario.sizes) < 2:
+            raise TooFewClassesError(
+                f"testing needs at least 2 classes, got {len(self.scenario.sizes)}"
+            )
         _check_matrix_rows(sum(self.scenario.sizes))
 
     @property

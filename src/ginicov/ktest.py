@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .core import LabeledDataset, group_index, validate_for_testing
 # u_center stays a module attribute: perfbench's tracer rebinds ktest.u_center
@@ -51,13 +50,6 @@ class TestResult:
 def normal_cdf(x: float) -> float:
     """Standard normal CDF, accurate to a few ulp across the real line."""
     return 0.5 * math.erfc(-x / _SQRT2)
-
-
-def normal_quantile(q: float) -> float:
-    """Inverse standard normal CDF for q in the open unit interval."""
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"quantile argument must be in (0, 1), got {q}")
-    return float(ndtri(q))
 
 
 def _check_alpha(alpha: float) -> None:

@@ -43,11 +43,21 @@ def test_all_lists_every_public_name_init_binds():
     assert set(ginicov.__all__) == public
 
 
-@pytest.mark.parametrize("name", ["gini_cov", "gini_cor"])
+# each removed function, with the module that defined it
+REMOVED = {
+    "gini_cov": ginicov.estimators,
+    "gini_cor": ginicov.estimators,
+    "dcov_stat": ginicov.estimators,
+    "group_gmd_inputs": ginicov.distmat,
+    "normal_quantile": ginicov.ktest,
+}
+
+
+@pytest.mark.parametrize("name", REMOVED)
 def test_removed_functions_stay_removed(name):
     assert name not in ginicov.__all__
     assert not hasattr(ginicov, name)
-    assert not hasattr(ginicov.estimators, name)
+    assert not hasattr(REMOVED[name], name)
 
 
 @pytest.mark.parametrize(

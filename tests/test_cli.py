@@ -181,6 +181,8 @@ class TestCmdTest:
             ("dcov-perm", "--alpha", "1.5", "alpha must be in (0, 1)"),
             ("gini-perm", "--permutations", "0", "permutation count"),
             ("dcov-perm", "--permutations", "4294967296", "permutation count"),
+            ("gini-normal", "--threads", "-5", "threads must be >= 0"),
+            ("gini-perm", "--threads", "-1", "threads must be >= 0"),
         ],
     )
     def test_usage_error_comes_before_reading_the_file(
@@ -439,6 +441,75 @@ class TestSettingsBeforeProvenance:
         assert captured.err.startswith("error: ")
         assert "rows need a" in captured.err
         assert captured.err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args, flag, target",
+        [
+            pytest.param(args, flag, target, id=f"{args[0]}-{flag[2:]}-{target}")
+            for args, flag in [
+                (["simulate", "--example", "2", "--p", "3", "--sizes", "3,3,3",
+                  "--reps", "2", "--threads", "1"], "--out"),
+                (["simulate", "--example", "2", "--p", "3", "--sizes", "3,3,3",
+                  "--reps", "2", "--threads", "1"], "--json-out"),
+                (["normality", "--p", "3", "--reps", "2", "--threads", "1"], "--out"),
+            ]
+            for target in ["directory", "missing-parent", "empty"]
+            # an empty --json-out asks for no JSON mirror
+            if (flag, target) != ("--json-out", "empty")
+        ],
+    )
+    def test_unwritable_output_exits_one_before_provenance(
+        self, tmp_path, capsys, monkeypatch, args, flag, target
+    ):
+        def no_generation(*a):
+            raise AssertionError("a study with an unwritable output generated data")
+
+        monkeypatch.setattr(ginicov.experiments, "scenario_dataset", no_generation)
+        (tmp_path / "dir").mkdir()
+        bad = {
+            "directory": tmp_path / "dir",
+            "missing-parent": tmp_path / "missing" / "x.csv",
+            "empty": "",
+        }[target]
+        paths = {"--out": tmp_path / "x.csv", flag: bad}
+        code = main(args + [a for f, p in paths.items() for a in (f, str(p))])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["dir"]
+
+    def test_a_failed_write_is_a_data_error(self, tmp_path, capsys, monkeypatch):
+        def denied(rows, path):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(ginicov.cli, "write_power_csv", denied)
+        code = main(
+            ["simulate", "--example", "2", "--p", "3", "--sizes", "3,3,3",
+             "--reps", "2", "--threads", "1", "--out", str(tmp_path / "x.csv")]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.splitlines()[-1].startswith("error: [Errno 13]")
+
+    def test_one_class_study_exits_one_without_provenance(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_generation(*a):
+            raise AssertionError("a one-class study generated data")
+
+        monkeypatch.setattr(ginicov.experiments, "scenario_dataset", no_generation)
+        out = tmp_path / "x.csv"
+        code = main(
+            ["normality", "--p", "3", "--sizes", "10", "--reps", "4",
+             "--threads", "1", "--out", str(out)]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: testing needs at least 2 classes, got 1\n"
         assert not out.exists()
 
 

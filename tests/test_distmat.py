@@ -9,13 +9,13 @@ from ginicov import (
     LabeledDataset,
     TooLargeError,
     TooSmallError,
-    group_gmd_inputs,
+    gini_estimates,
     group_index,
     pairwise_distances,
     u_center,
 )
 from ginicov import distmat
-from ginicov.distmat import class_pair_sums
+from ginicov.distmat import _block_pair_sums, class_pair_sums
 
 FOUR_POINTS = np.array([[0.0], [2.0], [1.0], [3.0]])
 
@@ -188,38 +188,38 @@ class TestUCenter:
 
 
 class TestGroupGmdInputs:
+    """The inputs of the group GMDs that ``gini_estimates`` forms: the pooled
+    pair sum and the class pair sums of ``_block_pair_sums``."""
+
     def test_hand_example(self):
         ds = LabeledDataset(FOUR_POINTS, ("a", "a", "b", "b"))
-        pooled, per_class = group_gmd_inputs(
-            pairwise_distances(ds), group_index(ds)
-        )
-        assert pooled == 10.0
-        assert per_class.tolist() == [2.0, 2.0]
+        d, gi = pairwise_distances(ds), group_index(ds)
+        assert _block_pair_sums(d, gi.codes, gi.k).tolist() == [2.0, 2.0]
+        est = gini_estimates(d, gi)
+        assert est.delta_hat == 10.0 / 6
+        assert est.delta_k_hat.tolist() == [2.0, 2.0]
 
     def test_all_identical(self):
         ds = LabeledDataset(np.ones((4, 2)), ("a", "a", "b", "b"))
-        pooled, per_class = group_gmd_inputs(
-            pairwise_distances(ds), group_index(ds)
-        )
-        assert pooled == 0.0
-        assert per_class.tolist() == [0.0, 0.0]
+        d, gi = pairwise_distances(ds), group_index(ds)
+        assert _block_pair_sums(d, gi.codes, gi.k).tolist() == [0.0, 0.0]
+        assert gini_estimates(d, gi).delta_hat == 0.0
 
     def test_single_class_covers_pool(self):
-        ds = LabeledDataset(FOUR_POINTS, ("a", "a", "a", "a"))
-        pooled, per_class = group_gmd_inputs(
-            pairwise_distances(ds), group_index(ds)
-        )
-        assert per_class.tolist() == [pooled]
+        d = pairwise_distances(FOUR_POINTS)
+        assert _block_pair_sums(d, np.zeros(4, np.intp), 1).tolist() == [
+            d.sum() / 2.0
+        ]
 
     def test_size_mismatch(self):
         ds = LabeledDataset(FOUR_POINTS, ("a", "a", "b", "b"))
-        with pytest.raises(ValueError):
-            group_gmd_inputs(np.zeros((5, 5)), group_index(ds))
+        with pytest.raises(ValueError, match="does not match index n=4"):
+            gini_estimates(np.zeros((5, 5)), group_index(ds))
 
 
 class TestClassPairSums:
     def test_each_labelling_matches_block_sums(self):
-        # up to 8 classes and from 1 to 8 labellings: both summation paths
+        # up to 8 classes (both summation paths) and from 1 to 8 labellings
         rng = np.random.default_rng(17)
         for _ in range(40):
             k = int(rng.integers(1, 9))
@@ -240,7 +240,7 @@ class TestClassPairSums:
         lab = rng.integers(0, 3, d.shape[0])
         ref = [d[np.ix_(ix, ix)].sum() / 2.0
                for ix in (np.flatnonzero(lab == c) for c in range(3))]
-        assert class_pair_sums(d, lab[None, :], 3).tolist() == [ref]
+        assert _block_pair_sums(d, lab, 3).tolist() == ref
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -250,13 +250,13 @@ class TestClassPairSums:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_product_agrees_with_block_sums(self, n, k, m, seed):
-        # a block of m labellings takes the BLAS product, one labelling at a
-        # time the pairwise block sums; they may differ only in the last bits
+        # the BLAS product and the pairwise block sums of each labelling may
+        # differ only in the last bits
         rng = np.random.default_rng(seed)
         d = pairwise_distances(rng.standard_normal((n, int(rng.integers(1, 30)))))
         labelings = rng.integers(0, k, (m, n))
         product = class_pair_sums(d, labelings, k)
-        blocks = np.vstack([class_pair_sums(d, lab[None, :], k) for lab in labelings])
+        blocks = np.vstack([_block_pair_sums(d, lab, k) for lab in labelings])
         ulp = np.spacing(d.sum() / 2.0)
         assert np.abs(product - blocks).max() <= 8 * ulp
 

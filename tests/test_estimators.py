@@ -9,7 +9,6 @@ from ginicov import (
     LabeledDataset,
     TinyClassError,
     TooFewClassesError,
-    dcov_stat,
     dist_variance,
     gini_estimates,
     gmd,
@@ -18,6 +17,7 @@ from ginicov import (
     sigma0_sq,
     u_center,
 )
+from ginicov.ktest import _perm_test_from_distance
 from ginicov.streams import substream
 
 FOUR = LabeledDataset(np.array([[0.0], [2.0], [1.0], [3.0]]), ("a", "a", "b", "b"))
@@ -172,10 +172,16 @@ class TestSigma0Sq:
             sigma0_sq(group_index(FOUR), -1.0)
 
 
+def engine_dcov(d, gi):
+    """The dcov-perm statistic of the observed labelling, as the permutation
+    engine computes it."""
+    return _perm_test_from_distance(d, gi, 1, 0.05, 0)["dcov-perm"].statistic
+
+
 class TestDcovStat:
     def test_all_identical(self):
         ds = LabeledDataset(np.ones((6, 2)), ("a",) * 3 + ("b",) * 3)
-        assert dcov_stat(pairwise_distances(ds), group_index(ds)) == 0.0
+        assert engine_dcov(pairwise_distances(ds), group_index(ds)) == 0.0
 
     def test_direct_formula_oracle(self):
         # unbiased sample dCov: full cross sum of the two U-centered
@@ -210,20 +216,20 @@ class TestDcovStat:
             ref = sum(
                 a[i, j] * b[i, j] for i in range(n) for j in range(n) if i != j
             ) / (n * (n - 3))
-            got = dcov_stat(d, gi)
+            got = engine_dcov(d, gi)
             assert abs(got - ref) <= 1e-12 * (abs(ref) + 1.0)
 
     def test_four_point_frozen_value(self):
         # hand evaluation of the within-class-sum form gives -1/3
         d = pairwise_distances(FOUR)
-        assert abs(dcov_stat(d, group_index(FOUR)) - (-1.0 / 3.0)) <= 1e-12
+        assert abs(engine_dcov(d, group_index(FOUR)) - (-1.0 / 3.0)) <= 1e-12
 
     def test_label_swap_invariance(self):
         rng = np.random.default_rng(14)
         x = rng.standard_normal((10, 3))
         a = LabeledDataset(x, ("u",) * 5 + ("v",) * 5)
         b = LabeledDataset(x, ("v",) * 5 + ("u",) * 5)
-        assert dcov_stat(pairwise_distances(a), group_index(a)) == dcov_stat(
+        assert engine_dcov(pairwise_distances(a), group_index(a)) == engine_dcov(
             pairwise_distances(b), group_index(b)
         )
 

@@ -9,6 +9,7 @@ from ginicov import (
     DegenerateSampleError,
     ScenarioSpec,
     StudyConfig,
+    TooFewClassesError,
     TooLargeError,
     kde_gaussian,
     normality_study,
@@ -403,6 +404,11 @@ class TestStudyConfig:
         scen = ScenarioSpec(example=example, p=1, sizes=sizes)
         with pytest.raises(TooLargeError, match="^11586 rows need"):
             StudyConfig(scenario=scen, replicates=1)
+
+    def test_refuses_a_one_class_study(self):
+        scen = ScenarioSpec(example=1, p=3, sizes=(10,))
+        with pytest.raises(TooFewClassesError, match="at least 2 classes, got 1"):
+            StudyConfig(scenario=scen, replicates=2)
 
     def test_accepts_the_largest_sample_within_budget(self):
         scen = ScenarioSpec(example=2, p=1, sizes=(11581, 2, 2))

@@ -12,13 +12,13 @@ from hypothesis.extra.numpy import arrays
 from ginicov import (
     GiniEstimates,
     LabeledDataset,
-    dcov_stat,
     gini_estimates,
     gini_normal_test,
     group_index,
     pairwise_distances,
     permutation_test,
 )
+from ginicov.ktest import _perm_test_from_distance
 
 # small, exactly representable-ish values: hypothesis shrinks toward ties
 # and all-equal samples, which exercise the degenerate branches too
@@ -39,7 +39,9 @@ def samples(draw):
 def estimates(data, labels):
     ds = LabeledDataset(data, tuple(labels))
     d, gi = pairwise_distances(ds), group_index(ds)
-    return gini_estimates(d, gi), dcov_stat(d, gi), gini_normal_test(ds).z
+    # the dcov statistic as the permutation engine reports it
+    dcov = _perm_test_from_distance(d, gi, 1, 0.05, 0)["dcov-perm"].statistic
+    return gini_estimates(d, gi), dcov, gini_normal_test(ds).z
 
 
 def assert_bit_identical(a: GiniEstimates, b: GiniEstimates):
