@@ -27,13 +27,7 @@ from .errors import (
     TooLargeError,
     TooSmallError,
 )
-from .estimators import (
-    GiniEstimates,
-    dist_variance,
-    gini_estimates,
-    gmd,
-    sigma0_sq,
-)
+from .estimators import GiniEstimates, gini_estimates
 from .experiments import (
     NormalityRow,
     PowerRow,
@@ -77,10 +71,8 @@ __all__ = [
     "TooFewClassesError",
     "TooLargeError",
     "TooSmallError",
-    "dist_variance",
     "gini_estimates",
     "gini_normal_test",
-    "gmd",
     "group_index",
     "kde_gaussian",
     "load_csv",
@@ -89,7 +81,6 @@ __all__ = [
     "pairwise_distances",
     "permutation_test",
     "scenario_dataset",
-    "sigma0_sq",
     "size_power_study",
     "substream",
     "u_center",

@@ -141,10 +141,7 @@ def _provenance(config: dict) -> None:
 def cmd_simulate(args) -> int:
     sizes = _parse_sizes(args.sizes)
     methods = _parse_methods(args.methods)
-    if args.beta_grid:
-        betas = [float(b) for b in args.beta_grid.split(",")]
-    else:
-        betas = [args.beta]
+    betas = [float(b) for b in args.beta_grid.split(",")]
     for b in betas:
         if not 0.0 <= b <= 1.0:
             raise ValueError(f"beta must be in [0, 1], got {b}")
@@ -256,8 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--example", type=int, required=True, choices=[2, 3])
     s.add_argument("--p", type=int, required=True)
     s.add_argument("--sizes", required=True, help="comma-separated class sizes")
-    s.add_argument("--beta", type=float, default=0.0)
-    s.add_argument("--beta-grid", default="", help="comma-separated betas")
+    s.add_argument("--beta-grid", default="0", help="comma-separated betas")
     s.add_argument("--reps", type=int, required=True)
     s.add_argument(
         "--methods",

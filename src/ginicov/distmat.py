@@ -93,12 +93,13 @@ def u_center(d: np.ndarray) -> np.ndarray:
         raise TooSmallError(
             f"U-centering needs n >= 4 (the n(n-3) denominator), got n={n}"
         )
-    # d is symmetric, so one sum serves both rows and columns
-    row = d.sum(axis=1)
+    # d is symmetric, so one sum serves both rows and columns; the one result
+    # array is updated in place, in the order of the formula above
+    row = d.sum(axis=1) / (n - 2)
     total = d.sum()
-    a = d - row[:, None] / (n - 2) - row[None, :] / (n - 2) + total / (
-        (n - 1) * (n - 2)
-    )
+    a = d - row[:, None]
+    a -= row[None, :]
+    a += total / ((n - 1) * (n - 2))
     np.fill_diagonal(a, 0.0)
     return a
 

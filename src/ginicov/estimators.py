@@ -18,14 +18,6 @@ import numpy as np
 
 from .core import GroupIndex, validate_for_testing
 from .distmat import _block_pair_sums, u_center
-from .errors import TinyClassError, TooSmallError
-
-
-def gmd(pair_sum: float, m: int) -> float:
-    """Gini mean difference from the sum over the C(m, 2) unordered pairs."""
-    if m < 2:
-        raise TinyClassError(f"GMD needs at least 2 points, got {m}")
-    return pair_sum / comb(m, 2)
 
 
 def _gini_from_sums(pooled_sum, class_sums, counts, n):
@@ -46,25 +38,15 @@ def _dcov_from_sums(pooled_sum, class_sums, class_rows, counts, n):
     return -2.0 * centered.sum(axis=-1) / (n * (n - 3))
 
 
-def dist_variance(a: np.ndarray) -> float:
-    """Bias-corrected squared distance variance of a U-centered matrix:
-    the mean of the squared off-diagonal entries scaled by 1/(n(n-3))."""
-    n = a.shape[0]
-    if n < 4:
-        raise TooSmallError(f"distance variance needs n >= 4, got n={n}")
-    return float((a * a).sum()) / (n * (n - 3))
-
-
-def sigma0_sq(gi: GroupIndex, v2n: float) -> float:
-    """Null-variance estimate of the Gini covariance.
+def _sigma0_sq(gi: GroupIndex, v2n: float) -> float:
+    """Null-variance estimate of the Gini covariance from the squared
+    distance variance ``v2n``.
 
     The bracket sums exact binomial reciprocals class by class before
     subtracting the pooled term: the two parts are O(n^-2) and nearly
     cancel, so the ordering is fixed for reproducibility.
     """
     validate_for_testing(gi)
-    if v2n < 0.0:
-        raise ValueError(f"squared distance variance must be >= 0, got {v2n}")
     bracket = 0.0
     n = gi.n
     for cnt in gi.counts:
@@ -107,18 +89,19 @@ def gini_estimates(d: np.ndarray, gi: GroupIndex) -> GiniEstimates:
     # halving the symmetric full sum is exact in binary arithmetic
     pooled = float(d.sum()) / 2.0
     per_class = _block_pair_sums(d, gi.codes, gi.k)
-    delta_hat = gmd(pooled, gi.n)
-    delta_k = np.array(
-        [gmd(s, int(cnt)) for s, cnt in zip(per_class, gi.counts)]
-    )
-    gcov = float(_gini_from_sums(pooled, per_class, gi.counts, gi.n))
-    gcor = gcov / delta_hat if delta_hat > 0.0 else None
-    v2n = dist_variance(u_center(d))
+    n = gi.n
+    delta_hat = pooled / comb(n, 2)
+    gcov = float(_gini_from_sums(pooled, per_class, gi.counts, n))
+    # bias-corrected distance variance: the sum of squares of the U-centered
+    # matrix over n(n-3), squared in place so that one n x n array is held
+    # beside d
+    a = u_center(d)
+    v2n = float(np.square(a, out=a).sum()) / (n * (n - 3))
     return GiniEstimates(
         delta_hat=delta_hat,
-        delta_k_hat=delta_k,
+        delta_k_hat=per_class / (gi.counts * (gi.counts - 1) / 2),
         gcov=gcov,
-        gcor=gcor,
+        gcor=gcov / delta_hat if delta_hat > 0.0 else None,
         v2n=v2n,
-        sigma0_sq=sigma0_sq(gi, v2n),
+        sigma0_sq=_sigma0_sq(gi, v2n),
     )

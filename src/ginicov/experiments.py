@@ -20,9 +20,9 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .core import _check_matrix_rows, group_index
+from .core import _MAX_MATRIX_BYTES, _check_matrix_rows, group_index
 from .distmat import pairwise_distances
-from .errors import DegenerateSampleError, TooFewClassesError
+from .errors import DegenerateSampleError, TooFewClassesError, TooLargeError
 from .ktest import (
     METHOD_DCOV_PERM,
     METHOD_GINI_NORMAL,
@@ -40,7 +40,9 @@ ALL_METHODS = (METHOD_GINI_NORMAL, METHOD_GINI_PERM, METHOD_DCOV_PERM)
 # salt separating permutation-test seeds from data-generation streams
 _PERM_SALT = 0x70657274
 
-KDE_GRID = (-4.0, 4.0, 0.01)
+# the KDE's evaluation grid: -4 to 4 in steps of 0.01
+KDE_GRID = np.linspace(-4.0, 4.0, 801)
+KDE_GRID.setflags(write=False)
 
 POWER_CSV_HEADER = (
     "example,p,sizes,beta,method,alpha,replicates,rejection_rate,elapsed_ms"
@@ -82,7 +84,14 @@ class StudyConfig:
             raise TooFewClassesError(
                 f"testing needs at least 2 classes, got {len(self.scenario.sizes)}"
             )
-        _check_matrix_rows(sum(self.scenario.sizes))
+        n, p = sum(self.scenario.sizes), self.scenario.p
+        _check_matrix_rows(n)
+        if 8 * n * p > _MAX_MATRIX_BYTES:
+            raise TooLargeError(
+                f"{n} rows of {p} features need a {8 * n * p / 2**30:.2f} GiB "
+                f"feature matrix, over its {_MAX_MATRIX_BYTES / 2**30:g} GiB "
+                "budget"
+            )
 
     @property
     def root_seed(self) -> int:
@@ -116,12 +125,6 @@ class NormalityRow:
     degenerate: int
 
 
-def grid_points(lo: float, hi: float, step: float) -> np.ndarray:
-    """Inclusive evaluation grid; the count is fixed by rounding (hi-lo)/step."""
-    count = int(round((hi - lo) / step)) + 1
-    return np.linspace(lo, hi, count)
-
-
 def silverman_bandwidth(samples: np.ndarray) -> float:
     """0.9 * min(sd, IQR/1.34) * m^(-1/5); robust to heavy tails."""
     m = samples.size
@@ -136,25 +139,14 @@ def silverman_bandwidth(samples: np.ndarray) -> float:
     return 0.9 * spread * m ** (-0.2)
 
 
-def kde_gaussian(samples, bandwidth="auto", grid=KDE_GRID) -> np.ndarray:
-    """Gaussian-kernel density estimate evaluated on ``grid``.
-
-    ``bandwidth`` is either a positive number or "auto" for Silverman's
-    rule.  Returns the density values; use :func:`grid_points` for the
-    matching abscissae.
-    """
+def kde_gaussian(samples) -> np.ndarray:
+    """Gaussian-kernel density estimate with Silverman's bandwidth, evaluated
+    on ``KDE_GRID``."""
     z = np.asarray(samples, dtype=np.float64).ravel()
     if z.size < 2:
         raise ValueError(f"KDE needs at least 2 samples, got {z.size}")
-    if bandwidth == "auto":
-        h = silverman_bandwidth(z)
-    else:
-        h = float(bandwidth)
-        # written so that NaN fails too
-        if not 0.0 < h < math.inf:
-            raise ValueError(f"bandwidth must be positive and finite, got {h}")
-    xs = grid_points(*grid)
-    u = (xs[:, None] - z[None, :]) / h
+    h = silverman_bandwidth(z)
+    u = (KDE_GRID[:, None] - z[None, :]) / h
     dens = np.exp(-0.5 * u * u).sum(axis=1)
     dens *= 1.0 / (z.size * h * math.sqrt(2.0 * math.pi))
     return dens
@@ -164,10 +156,9 @@ def _stdnormal_pdf(xs: np.ndarray) -> np.ndarray:
     return np.exp(-0.5 * xs * xs) / math.sqrt(2.0 * math.pi)
 
 
-def max_gap_to_normal(z_samples, grid=KDE_GRID) -> float:
-    """Sup over the grid of |KDE(z samples) - standard normal density|."""
-    xs = grid_points(*grid)
-    return float(np.abs(kde_gaussian(z_samples, "auto", grid) - _stdnormal_pdf(xs)).max())
+def max_gap_to_normal(z_samples) -> float:
+    """Sup over ``KDE_GRID`` of |KDE(z samples) - standard normal density|."""
+    return float(np.abs(kde_gaussian(z_samples) - _stdnormal_pdf(KDE_GRID)).max())
 
 
 def _resolve_workers(threads: int) -> int:

@@ -48,6 +48,9 @@ REMOVED = {
     "gini_cov": ginicov.estimators,
     "gini_cor": ginicov.estimators,
     "dcov_stat": ginicov.estimators,
+    "gmd": ginicov.estimators,
+    "dist_variance": ginicov.estimators,
+    "sigma0_sq": ginicov.estimators,
     "group_gmd_inputs": ginicov.distmat,
     "normal_quantile": ginicov.ktest,
 }

@@ -417,17 +417,21 @@ class TestSettingsBeforeProvenance:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "args",
+        "args, message",
         [
-            ["simulate", "--example", "2", "--p", "1", "--sizes", "11582,2,2",
-             "--reps", "2", "--threads", "1"],
-            ["normality", "--p", "1", "--sizes", "12000,2", "--reps", "2",
-             "--threads", "1"],
+            (["simulate", "--example", "2", "--p", "1", "--sizes", "11582,2,2",
+              "--reps", "2", "--threads", "1"], "rows need a"),
+            (["normality", "--p", "1", "--sizes", "12000,2", "--reps", "2",
+              "--threads", "1"], "rows need a"),
+            (["simulate", "--example", "2", "--p", "100000000000", "--sizes",
+              "3,3,3", "--reps", "1", "--threads", "1"], "GiB feature matrix"),
+            (["normality", "--p", "100000000000", "--reps", "2",
+              "--threads", "1"], "GiB feature matrix"),
         ],
-        ids=["simulate", "normality"],
+        ids=["simulate", "normality", "simulate-features", "normality-features"],
     )
     def test_over_budget_study_exits_one_without_provenance(
-        self, tmp_path, capsys, monkeypatch, args
+        self, tmp_path, capsys, monkeypatch, args, message
     ):
         def no_generation(*a):
             raise AssertionError("an over-budget study generated data")
@@ -439,7 +443,7 @@ class TestSettingsBeforeProvenance:
         assert code == 1
         assert captured.out == ""
         assert captured.err.startswith("error: ")
-        assert "rows need a" in captured.err
+        assert message in captured.err
         assert captured.err.count("\n") == 1
         assert not out.exists()
 

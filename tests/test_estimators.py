@@ -7,18 +7,16 @@ import pytest
 
 from ginicov import (
     LabeledDataset,
-    TinyClassError,
     TooFewClassesError,
-    dist_variance,
     gini_estimates,
-    gmd,
     group_index,
     pairwise_distances,
-    sigma0_sq,
     u_center,
 )
+from ginicov.estimators import _sigma0_sq
 from ginicov.ktest import _perm_test_from_distance
 from ginicov.streams import substream
+from test_core import traced_peak
 
 FOUR = LabeledDataset(np.array([[0.0], [2.0], [1.0], [3.0]]), ("a", "a", "b", "b"))
 
@@ -46,20 +44,28 @@ def gcov_by_loops(d, gi):
     return total
 
 
+def estimates(x, labels):
+    """``gini_estimates`` of the sample ``x``, one row per label."""
+    ds = LabeledDataset(np.reshape(x, (len(labels), -1)), labels)
+    return gini_estimates(pairwise_distances(ds), group_index(ds))
+
+
 class TestGmd:
     def test_two_points(self):
-        assert gmd(2.0, 2) == 2.0
+        est = estimates([0.0, 2.0, 1.0, 3.0], ("a", "a", "b", "b"))
+        assert est.delta_k_hat.tolist() == [2.0, 2.0]
 
     def test_three_points(self):
-        # sample (0, 1, 3): pair distances 1, 3, 2
-        assert gmd(6.0, 3) == 2.0
+        # class a is (0, 1, 3): pair distances 1, 3, 2; the pooled sample
+        # (0, 1, 3, 10, 10) adds 10 + 9 + 7 twice each and 0, so its pair
+        # sum is 58 over C(5, 2) pairs
+        est = estimates([0.0, 1.0, 3.0, 10.0, 10.0], ("a", "a", "a", "b", "b"))
+        assert est.delta_k_hat.tolist() == [2.0, 0.0]
+        assert est.delta_hat == float(Fraction(58, 10))
 
     def test_identical_points(self):
-        assert gmd(0.0, 5) == 0.0
-
-    def test_tiny(self):
-        with pytest.raises(TinyClassError):
-            gmd(0.0, 1)
+        est = estimates([4.0] * 5 + [0.0, 1.0], ("a",) * 5 + ("b", "b"))
+        assert est.delta_k_hat.tolist() == [0.0, 1.0]
 
 
 class TestGiniCovCor:
@@ -114,8 +120,7 @@ class TestGiniCovCor:
 
 class TestDistVariance:
     def test_all_identical(self):
-        a = u_center(np.zeros((5, 5)))
-        assert dist_variance(a) == 0.0
+        assert estimates(np.zeros(5), ("a", "a", "a", "b", "b")).v2n == 0.0
 
     def test_four_point_direct_formula(self):
         d = pairwise_distances(FOUR)
@@ -124,24 +129,26 @@ class TestDistVariance:
         ref = sum(
             a[k, l] ** 2 for k in range(n) for l in range(n) if k != l
         ) / (n * (n - 3))
-        assert abs(dist_variance(a) - ref) <= 1e-12
-        assert abs(dist_variance(a) - 2.0 / 3.0) <= 1e-12
+        v2n = gini_estimates(d, group_index(FOUR)).v2n
+        assert abs(v2n - ref) <= 1e-12
+        assert abs(v2n - 2.0 / 3.0) <= 1e-12
 
     def test_scaling_is_quadratic(self):
         rng = np.random.default_rng(12)
         x = rng.standard_normal((8, 4))
-        v1 = dist_variance(u_center(pairwise_distances(x)))
-        v2 = dist_variance(u_center(pairwise_distances(3.0 * x)))
+        labels = ("a",) * 4 + ("b",) * 4
+        v1 = estimates(x, labels).v2n
+        v2 = estimates(3.0 * x, labels).v2n
         assert abs(v2 - 9.0 * v1) <= 1e-12 * v2
 
 
 class TestSigma0Sq:
     def test_two_by_two_bracket(self):
         gi = group_index(FOUR)
-        assert abs(sigma0_sq(gi, 1.0) - 1.0 / 3.0) <= 1e-15
+        assert abs(_sigma0_sq(gi, 1.0) - 1.0 / 3.0) <= 1e-15
 
     def test_zero_variance(self):
-        assert sigma0_sq(group_index(FOUR), 0.0) == 0.0
+        assert _sigma0_sq(group_index(FOUR), 0.0) == 0.0
 
     def test_exact_rational_oracle(self):
         labels = (1,) * 40 + (2,) * 40 + (3,) * 40
@@ -152,7 +159,7 @@ class TestSigma0Sq:
             for nk in (40, 40, 40)
         ) - Fraction(1, math.comb(120, 2))
         assert bracket == Fraction(3, 9 * 780) - Fraction(1, 7140)
-        got = sigma0_sq(gi, 1.0)
+        got = _sigma0_sq(gi, 1.0)
         assert abs(got - float(bracket)) <= 1e-12 * float(bracket)
 
     def test_unbalanced_rational_oracle(self):
@@ -163,13 +170,9 @@ class TestSigma0Sq:
             Fraction(nk, 14) ** 2 / Fraction(math.comb(nk, 2))
             for nk in (7, 5, 2)
         ) - Fraction(1, math.comb(14, 2))
-        got = sigma0_sq(gi, 2.5)
+        got = _sigma0_sq(gi, 2.5)
         ref = 2.5 * float(bracket)
         assert abs(got - ref) <= 1e-12 * ref
-
-    def test_rejects_negative_v2n(self):
-        with pytest.raises(ValueError):
-            sigma0_sq(group_index(FOUR), -1.0)
 
 
 def engine_dcov(d, gi):
@@ -248,12 +251,15 @@ class TestGiniEstimates:
             )
             assert abs(est.gcov - recon) <= 1e-12 * (abs(recon) + 1.0)
 
-    def test_fields_match_standalone_functions(self):
+    def test_fields_match_their_formulas(self):
         d = pairwise_distances(FOUR)
+        before = d.copy()
         gi = group_index(FOUR)
         est = gini_estimates(d, gi)
-        assert est.v2n == dist_variance(u_center(d))
-        assert est.sigma0_sq == sigma0_sq(gi, est.v2n)
+        assert np.array_equal(d, before)
+        a = u_center(d)
+        assert est.v2n == float((a * a).sum()) / (4 * (4 - 3))
+        assert est.sigma0_sq == _sigma0_sq(gi, est.v2n)
 
     def test_scale_equivariance(self):
         rng = np.random.default_rng(16)
@@ -276,6 +282,30 @@ class TestGiniEstimates:
         assert abs(scaled.v2n - c * c * base.v2n) <= rel * scaled.v2n
         assert abs(scaled.sigma0_sq - c * c * base.sigma0_sq) <= rel * scaled.sigma0_sq
         assert abs(scaled.gcor - base.gcor) <= rel * abs(base.gcor)
+
+
+class TestNormalTestMemory:
+    """The normal test holds one n x n array beside the distance matrix:
+    U-centering writes one result array in place and the variance squares
+    it in place."""
+
+    @pytest.fixture(scope="class")
+    def design(self):
+        rng = np.random.default_rng(17)
+        ds = LabeledDataset(
+            rng.standard_normal((3000, 5)), tuple(i % 3 for i in range(3000))
+        )
+        return pairwise_distances(ds), group_index(ds)
+
+    def test_gini_estimates_peak(self, design):
+        d, gi = design
+        _, peak = traced_peak(lambda: gini_estimates(d, gi))
+        assert peak < 1.25 * d.nbytes
+
+    def test_u_center_peak(self, design):
+        d, _ = design
+        _, peak = traced_peak(lambda: u_center(d))
+        assert peak < 1.1 * d.nbytes
 
 
 class TestNullRepresentation:

@@ -16,10 +16,10 @@ from ginicov import (
     size_power_study,
 )
 from ginicov.experiments import (
+    KDE_GRID,
     POWER_CSV_HEADER,
     _power_records,
     _run_tasks,
-    grid_points,
     max_gap_to_normal,
     silverman_bandwidth,
     write_normality_csv,
@@ -32,12 +32,11 @@ from ginicov.streams import substream
 class TestKde:
     def test_integrates_to_one(self):
         z = substream(61).standard_normal(400)
-        xs = grid_points(-10.0, 10.0, 0.01)
-        dens = kde_gaussian(z, grid=(-10.0, 10.0, 0.01))
-        assert abs(np.trapezoid(dens, xs) - 1.0) <= 1e-3
+        dens = kde_gaussian(z)
+        assert abs(np.trapezoid(dens, KDE_GRID) - 1.0) <= 1e-3
 
     def test_symmetric_samples_symmetric_density(self):
-        dens = kde_gaussian([-1.5, 1.5], bandwidth=0.8)
+        dens = kde_gaussian([-1.5, 1.5])
         assert np.abs(dens - dens[::-1]).max() <= 1e-12
 
     def test_degenerate(self):
@@ -47,11 +46,6 @@ class TestKde:
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
             kde_gaussian([1.0])
-
-    def test_bad_bandwidth(self):
-        for bandwidth in (0.0, float("nan"), float("inf")):
-            with pytest.raises(ValueError):
-                kde_gaussian([0.0, 1.0], bandwidth=bandwidth)
 
     def test_silverman_uses_robust_spread(self):
         z = substream(62).standard_normal(800)
@@ -65,10 +59,10 @@ class TestKde:
         assert max_gap_to_normal(z) <= 0.03
 
     def test_grid_points(self):
-        xs = grid_points(-4.0, 4.0, 0.01)
-        assert xs.size == 801
-        assert xs[0] == -4.0
-        assert xs[-1] == 4.0
+        assert KDE_GRID.size == 801
+        assert KDE_GRID[0] == -4.0
+        assert KDE_GRID[-1] == 4.0
+        assert np.allclose(np.diff(KDE_GRID), 0.01)
 
 
 class TestNormalityStudy:
@@ -413,6 +407,17 @@ class TestStudyConfig:
     def test_accepts_the_largest_sample_within_budget(self):
         scen = ScenarioSpec(example=2, p=1, sizes=(11581, 2, 2))
         assert sum(StudyConfig(scenario=scen, replicates=1).scenario.sizes) == 11585
+
+    def test_refuses_a_feature_matrix_over_budget_and_accepts_one_at_it(self):
+        # 8 rows of 2**24 features fill the 1 GiB budget exactly; the smallest
+        # step past it is one more feature (64 bytes)
+        def config(p):
+            scen = ScenarioSpec(example=2, p=p, sizes=(2, 2, 4))
+            return StudyConfig(scenario=scen, replicates=1)
+
+        assert config(2**24).scenario.p == 2**24
+        with pytest.raises(TooLargeError, match="^8 rows of 16777217 features"):
+            config(2**24 + 1)
 
     def test_root_seed_override(self):
         scen = ScenarioSpec(example=2, p=4, sizes=(3, 3, 3), seed=5)
