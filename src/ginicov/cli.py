@@ -58,6 +58,19 @@ def _parse_sizes(text: str) -> tuple:
     return sizes
 
 
+def _parse_betas(text: str) -> list:
+    try:
+        betas = [float(b) for b in text.split(",")]
+    except ValueError:
+        raise ValueError(
+            f"--beta-grid must be comma-separated numbers in [0, 1], got {text!r}"
+        )
+    for b in betas:
+        if not 0.0 <= b <= 1.0:
+            raise ValueError(f"beta must be in [0, 1], got {b}")
+    return betas
+
+
 def _parse_methods(text: str) -> tuple:
     # StudyConfig checks the methods
     return tuple(m.strip() for m in text.split(",") if m.strip())
@@ -141,10 +154,7 @@ def _provenance(config: dict) -> None:
 def cmd_simulate(args) -> int:
     sizes = _parse_sizes(args.sizes)
     methods = _parse_methods(args.methods)
-    betas = [float(b) for b in args.beta_grid.split(",")]
-    for b in betas:
-        if not 0.0 <= b <= 1.0:
-            raise ValueError(f"beta must be in [0, 1], got {b}")
+    betas = _parse_betas(args.beta_grid)
     scenario = ScenarioSpec(
         example=args.example, p=args.p, sizes=sizes, seed=args.seed
     )

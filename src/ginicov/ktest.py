@@ -15,11 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LabeledDataset, group_index, validate_for_testing
+from .distmat import class_pair_sums, pairwise_distances
 # u_center stays a module attribute: perfbench's tracer rebinds ktest.u_center
-from .distmat import class_pair_sums, pairwise_distances, u_center  # noqa: F401
+from .distmat import u_center  # noqa: F401
 from .estimators import _dcov_from_sums, _gini_from_sums, gini_estimates
+from .streams import permutation_keys, shuffled
 # substream stays a module attribute: perfbench's tracer rebinds ktest.substream
-from .streams import shuffled, substream  # noqa: F401
+from .streams import substream  # noqa: F401
 
 METHOD_GINI_NORMAL = "gini-normal"
 METHOD_GINI_PERM = "gini-perm"
@@ -29,6 +31,8 @@ _SQRT2 = math.sqrt(2.0)
 
 # most labellings per kernel call: its buffers stay O(n * _BLOCK) for any B
 _BLOCK = 128
+# kernel blocks per stream-key hash: at most 2048 keys (32 KiB) for any B
+_KEY_BLOCKS = 16
 _PERM_METHODS = {"gini": METHOD_GINI_PERM, "dcov": METHOD_DCOV_PERM}
 
 
@@ -90,37 +94,63 @@ def gini_normal_test(ds: LabeledDataset, alpha: float = 0.05) -> TestResult:
     return _normal_test_from_distance(pairwise_distances(ds), gi, alpha)
 
 
+def _labellings(seed: int, codes, permutations: int):
+    """The observed codes, then ``shuffled`` rows of the streams (seed, b) for
+    b = 1..B, in the near-equal blocks of 2.._BLOCK labellings that
+    ``np.array_split(range(B + 1), n_blocks)`` makes, without holding O(B)
+    indices.  The keys are hashed once per chunk of _KEY_BLOCKS blocks."""
+    n_blocks = -(-(permutations + 1) // _BLOCK)
+    q, r = divmod(permutations + 1, n_blocks)
+
+    def bound(i):  # start of block i
+        return i * q + min(i, r)
+
+    for first in range(0, n_blocks, _KEY_BLOCKS):
+        last = min(first + _KEY_BLOCKS, n_blocks)
+        lo = bound(first)
+        # keys[j] is stream lo + j's; b = 0's is hashed but never used
+        keys = permutation_keys(seed, range(lo, bound(last)))
+        for i in range(first, last):
+            start, stop = bound(i), bound(i + 1)
+            labs = shuffled(keys[max(start, 1) - lo:stop - lo], codes)
+            yield np.vstack([codes, labs]) if start == 0 else labs
+        del keys, labs  # freed before the next chunk is hashed
+
+
+def _block_statistics(d, gi, labs, pooled: float, row_sums):
+    """Gini covariance and dCov, shape (2, m), of an (m, n) labelling block."""
+    m = labs.shape[0]
+    sums = class_pair_sums(d, labs, gi.k)
+    flat = (labs + gi.k * np.arange(m)[:, None]).ravel()
+    rows = np.bincount(flat, np.tile(row_sums, m), m * gi.k).reshape(m, gi.k)
+    return np.stack([_gini_from_sums(pooled, sums, gi.counts, gi.n),
+                     _dcov_from_sums(pooled, sums, rows, gi.counts, gi.n)])
+
+
 def _perm_test_from_distance(d, gi, permutations: int, alpha: float, seed: int):
     """gini-perm and dcov-perm results by method, from one pass over the
     streams: replicate b gives row j the class of row perm[j], perm from the
     stream (seed, b).  Replicates within 100 eps x the pooled mean distance
-    below the observed value tie it, as exact arithmetic would."""
+    below the observed value tie it, as exact arithmetic would.  Only running
+    counts are kept, so memory does not grow with B."""
     _check_permutations(permutations)
     pooled = float(d.sum()) / 2.0
     row_sums = d.sum(axis=1)
-    stats = []
-    # near-equal blocks of 2+ labellings: b = 0 and b > 0 are summed alike
-    n_blocks = -(-(permutations + 1) // _BLOCK)
-    for block in np.array_split(np.arange(permutations + 1), n_blocks):
-        labs = shuffled(seed, gi.codes, block[block > 0])
-        if block[0] == 0:  # row 0 is the observed labelling
-            labs = np.vstack([gi.codes, labs])
-        m = labs.shape[0]
-        sums = class_pair_sums(d, labs, gi.k)
-        flat = (labs + gi.k * np.arange(m)[:, None]).ravel()
-        rows = np.bincount(flat, np.tile(row_sums, m), m * gi.k).reshape(m, gi.k)
-        stats.append([_gini_from_sums(pooled, sums, gi.counts, gi.n),
-                      _dcov_from_sums(pooled, sums, rows, gi.counts, gi.n)])
-    stats = np.concatenate(stats, axis=1)  # (statistic, labelling)
     gamma = 100.0 * np.finfo(np.float64).eps * pooled / math.comb(gi.n, 2)
-    n_ge = (stats[:, 1:] >= stats[:, :1] - gamma).sum(axis=1)
+    blocks = _labellings(seed, gi.codes, permutations)
+    stats = _block_statistics(d, gi, next(blocks), pooled, row_sums)
+    # running counts of the replicates at or above t_obs - gamma
+    t_obs, floor = stats[:, 0], stats[:, :1] - gamma
+    n_ge = (stats[:, 1:] >= floor).sum(axis=1)
+    for labs in blocks:
+        n_ge += (_block_statistics(d, gi, labs, pooled, row_sums) >= floor).sum(axis=1)
     p_values = (1.0 + n_ge) / (permutations + 1.0)
     return {
         method: TestResult(
-            method=method, statistic=float(t_obs), z=None, p_value=float(p),
+            method=method, statistic=float(t), z=None, p_value=float(p),
             alpha=alpha, reject=bool(p <= alpha), permutations=permutations, seed=seed,
         )
-        for method, t_obs, p in zip(_PERM_METHODS.values(), stats[:, 0], p_values)
+        for method, t, p in zip(_PERM_METHODS.values(), t_obs, p_values)
     }
 
 

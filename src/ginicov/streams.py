@@ -11,13 +11,15 @@ Stream keys used across the package:
 * scenario data:       (seed, replicate, class_index)
 * study batches:       per-beta root seeds derived via derive_seed(seed, i)
 
-Permutation streams take a batched path, :func:`shuffled`: it derives the
-Philox keys of a whole block of ``(seed, b)`` streams in one vectorized pass
-of numpy's ``SeedSequence`` hash (restated in uint32 arithmetic below), then
-shuffles one copy of the input per stream with a single reused generator
-whose state is reset to each key.  Row i is bit-for-bit
-``x[substream(seed, bs[i]).permutation(len(x))]``; the contract is the same
-as the unbatched one, only cheaper to set up.
+Permutation streams are made in two steps.  :func:`permutation_keys` derives
+the Philox keys of many ``(seed, b)`` streams in one vectorized pass of
+numpy's ``SeedSequence`` hash (restated in uint32 arithmetic below); the
+permutation engine hashes one chunk of a few thousand streams at a time.
+:func:`shuffled` then shuffles one copy of the input per key with a single
+reused generator, whose state is reset to each key from Python ints.  Row i
+is bit-for-bit ``x[substream(seed, bs[i]).permutation(len(x))]`` when the
+keys are ``permutation_keys(seed, bs)``; the contract is the same as the
+one-generator-per-stream one, only cheaper to set up.
 """
 
 from __future__ import annotations
@@ -101,23 +103,26 @@ def permutation_keys(seed: int, bs) -> np.ndarray:
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
-def shuffled(seed: int, x, bs) -> np.ndarray:
-    """Rows ``x[substream(seed, b).permutation(len(x))]`` for b in ``bs``.
+def shuffled(keys, x) -> np.ndarray:
+    """Rows ``x[substream(seed, b).permutation(len(x))]``, one per row of
+    ``keys = permutation_keys(seed, bs)``.
 
     One Philox generator serves every row: before each shuffle its state is
     reset to the stream's key with a zero counter and an empty buffer, the
-    state a fresh ``substream(seed, b)`` starts from.  ``Generator.shuffle``
-    makes the same swaps as ``permutation``, so shuffling a copy of ``x``
-    gives the gathered row directly.
+    state a fresh ``substream(seed, b)`` starts from.  The state holds Python
+    ints, which the state setter reads faster than numpy scalars.
+    ``Generator.shuffle`` makes the same swaps as ``permutation``, so
+    shuffling a copy of ``x`` gives the gathered row directly.
     """
     x = np.asarray(x)
-    keys = permutation_keys(seed, bs)
     out = np.empty((len(keys), x.size), dtype=x.dtype)
     out[:] = x
     bit_gen = np.random.Philox(0)
-    start = bit_gen.state  # zero counter, empty buffer, no cached uint32
+    start = bit_gen.state  # buffer_pos 4 (empty buffer), no cached uint32
+    start["state"]["counter"] = [0, 0, 0, 0]
+    start["buffer"] = [0, 0, 0, 0]
     gen = np.random.Generator(bit_gen)
-    for row, key in zip(out, keys):
+    for row, key in zip(out, keys.tolist()):
         start["state"]["key"] = key
         bit_gen.state = start
         gen.shuffle(row)

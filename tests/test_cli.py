@@ -260,6 +260,23 @@ class TestCmdSimulate:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("grid", ["0,x", "0,,1"])
+    def test_unparsable_beta_grid_names_the_flag(self, tmp_path, capsys, grid):
+        out = tmp_path / "x.csv"
+        code = main(
+            [
+                "simulate", "--example", "2", "--p", "4", "--sizes", "3,3,3",
+                "--beta-grid", grid, "--reps", "2", "--out", str(out),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "usage error: --beta-grid must be comma-separated numbers in [0, 1], "
+            f"got {grid!r}\n"
+        )
+        assert not out.exists()
+
     def test_invalid_example_exits_two(self, tmp_path):
         proc = run_cli(
             [

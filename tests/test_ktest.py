@@ -18,7 +18,8 @@ from ginicov import (
 )
 from ginicov.distmat import class_pair_sums
 from ginicov.ktest import _perm_test_from_distance
-from ginicov.streams import substream
+from ginicov.streams import permutation_keys, shuffled, substream
+from test_core import traced_peak
 
 # values from a 50-digit erfc evaluation, truncated to double precision
 CDF_ORACLE = [
@@ -335,3 +336,36 @@ class TestPermutationTest:
             _perm_test_from_distance(d, gi, b, 0.05, 0)
             assert sum(shapes) == b + 1 and min(shapes) >= 2, (b, shapes)
             assert max(shapes) <= 128
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, -1])
+    def test_labellings_follow_the_streams_across_blocks_and_key_chunks(
+        self, monkeypatch, seed
+    ):
+        labellings = []
+
+        def recording(d, labelings, k):
+            labellings.append(labelings.copy())
+            return class_pair_sums(d, labelings, k)
+
+        monkeypatch.setattr(ginicov.ktest, "class_pair_sums", recording)
+        ds = two_class_dataset(np.random.default_rng(34), n1=5, n2=4)
+        d, gi = pairwise_distances(ds), group_index(ds)
+        # the last B spans two key chunks
+        chunk = ginicov.ktest._BLOCK * ginicov.ktest._KEY_BLOCKS
+        for b in (1, 127, 128, 129, 999, chunk + 64):
+            labellings.clear()
+            _perm_test_from_distance(d, gi, b, 0.05, seed)
+            expected = np.vstack(
+                [gi.codes, shuffled(permutation_keys(seed, range(1, b + 1)), gi.codes)]
+            )
+            assert np.array_equal(np.vstack(labellings), expected), b
+
+    def test_traced_peak_does_not_grow_with_permutations(self):
+        # the engine keeps running counts, not every replicate's statistics
+        ds = two_class_dataset(np.random.default_rng(35), n1=6, n2=6)
+        d, gi = pairwise_distances(ds), group_index(ds)
+        peaks = [
+            traced_peak(lambda: _perm_test_from_distance(d, gi, b, 0.05, 0))[1]
+            for b in (1999, 19999)
+        ]
+        assert peaks[1] < 1.25 * peaks[0], peaks

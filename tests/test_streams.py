@@ -55,23 +55,23 @@ def test_keys_reject_indices_beyond_one_word():
 )
 def test_rows_match_substream_permutations(seed, n, dtype, bs):
     x = (np.arange(n) % 3).astype(dtype)
-    rows = shuffled(seed, x, bs)
+    rows = shuffled(permutation_keys(seed, bs), x)
     assert rows.dtype == x.dtype and rows.shape == (len(bs), n)
     assert np.array_equal(rows, reference_rows(seed, x, bs))
 
 
 def test_rows_of_distinct_values_are_the_permutations():
     bs = np.arange(1, 200)
-    rows = shuffled(7, np.arange(120), bs)
+    rows = shuffled(permutation_keys(7, bs), np.arange(120))
     assert np.array_equal(rows, reference_rows(7, np.arange(120), bs))
 
 
 def test_interleaved_calls_leak_no_state():
     x = np.arange(40, dtype=np.intp) % 4
     bs = [1, 2, 3, 17]
-    first = {s: shuffled(s, x, bs) for s in (11, 12)}
+    first = {s: shuffled(permutation_keys(s, bs), x) for s in (11, 12)}
     for s in (12, 11, 12):
-        assert np.array_equal(shuffled(s, x, bs), first[s])
+        assert np.array_equal(shuffled(permutation_keys(s, bs), x), first[s])
     assert np.array_equal(first[11], reference_rows(11, x, bs))
     assert not np.array_equal(first[11], first[12])
 
@@ -79,5 +79,5 @@ def test_interleaved_calls_leak_no_state():
 def test_input_is_not_modified():
     x = np.arange(30)
     x.setflags(write=False)
-    shuffled(3, x, [1, 2])
+    shuffled(permutation_keys(3, [1, 2]), x)
     assert np.array_equal(x, np.arange(30))
