@@ -10,9 +10,15 @@ A block of relabellings gets its class pair sums from one BLAS product with a
 one-hot label matrix.  That product runs on exactly one OpenBLAS thread,
 whether the caller is a study worker or a single ``ginicov test``: more
 threads oversubscribe a worker pool, and on two cores they made a lone
-product far less steady.  The thread count of numpy's bundled OpenBLAS is
-set through ``ctypes`` for the product and restored afterwards; where that
-library is not found, the product runs on the BLAS's own thread setting.
+product far less steady.  ``_pin_blas`` sets the thread count of numpy's
+bundled OpenBLAS to 1 through ``ctypes`` when it reads anything else, and
+never restores it: it runs before every product, and the study driver runs
+it once more just before its process pool forks.  OpenBLAS stops its own
+thread pool at every fork, and a worker whose first setter call changes the
+count restarts that pool, whose helper thread then spins on a core the
+sibling worker needs; workers that inherit a count of 1 never call the
+setter.  Where the library is not found, the product runs on the BLAS's own
+thread setting.
 """
 
 from __future__ import annotations
@@ -131,20 +137,23 @@ def kernel_blas_threads() -> int | None:
     return None if _openblas_threads() is None else 1
 
 
-def _one_thread_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` on one OpenBLAS thread; the caller's count is restored.
-    The count is process-wide, so concurrent calls from several Python
-    threads may leave it at 1."""
+def _pin_blas() -> None:
+    """Set the bundled OpenBLAS to one thread unless it runs on one already.
+    The count is process-wide and is never restored, so a process that has
+    pinned keeps one thread; it is read on every call, because a caller may
+    have raised it since."""
     threads = _openblas_threads()
     if threads is None:
-        return a @ b
+        return
     get, set_ = threads
-    before = get()
-    set_(1)
-    try:
-        return a @ b
-    finally:
-        set_(before)
+    if get() != 1:
+        set_(1)
+
+
+def _one_thread_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` on one OpenBLAS thread, pinned by ``_pin_blas``."""
+    _pin_blas()
+    return a @ b
 
 
 def _block_pair_sums(d: np.ndarray, codes: np.ndarray, k: int) -> np.ndarray:

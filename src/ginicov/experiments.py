@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .core import _MAX_MATRIX_BYTES, _check_matrix_rows, group_index
-from .distmat import pairwise_distances
+from .distmat import _pin_blas, pairwise_distances
 from .errors import DegenerateSampleError, TooFewClassesError, TooLargeError
 from .ktest import (
     METHOD_DCOV_PERM,
@@ -174,6 +174,8 @@ def _run_tasks(worker, payloads, threads: int):
     if workers <= 1:
         return [worker(p) for p in payloads]
     chunk = max(1, len(payloads) // (workers * 8))
+    # workers inherit the one-thread count and never restart OpenBLAS's pool
+    _pin_blas()
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, payloads, chunksize=chunk))
 

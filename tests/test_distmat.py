@@ -260,7 +260,7 @@ class TestClassPairSums:
         ulp = np.spacing(d.sum() / 2.0)
         assert np.abs(product - blocks).max() <= 8 * ulp
 
-    def test_product_runs_on_one_thread_and_restores_the_count(self):
+    def test_product_runs_on_one_thread_and_leaves_the_count_at_one(self):
         threads = distmat._openblas_threads()
         if threads is None:
             pytest.skip("numpy's bundled OpenBLAS is not found; no pinning")
@@ -270,8 +270,8 @@ class TestClassPairSums:
         class CountingMatrix(np.ndarray):
             def __matmul__(self, other):
                 seen.append(get())
-                if len(seen) > 1:
-                    raise MemoryError("second product")
+                if len(seen) > 2:
+                    raise MemoryError("third product")
                 return np.asarray(self) @ other
 
         rng = np.random.default_rng(19)
@@ -281,13 +281,19 @@ class TestClassPairSums:
         try:
             set_(2)
             class_pair_sums(d, labelings, 3)
-            assert get() == 2
+            assert get() == 1
+            # a caller that raises the count again gets one thread again,
+            # also for a product that raises
+            set_(2)
+            class_pair_sums(d, labelings, 3)
+            assert get() == 1
+            set_(2)
             with pytest.raises(MemoryError):
                 class_pair_sums(d, labelings, 3)
-            assert get() == 2
+            assert get() == 1
         finally:
             set_(before)
-        assert seen == [1, 1]
+        assert seen == [1, 1, 1]
         assert distmat.kernel_blas_threads() == 1
 
     def test_unpinned_fallback_gives_the_same_sums(self, monkeypatch):

@@ -1,3 +1,4 @@
+import multiprocessing
 import os
 from dataclasses import replace
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 import ginicov.experiments
+from ginicov import distmat
 from ginicov import (
     DegenerateSampleError,
     ScenarioSpec,
@@ -26,6 +28,7 @@ from ginicov.experiments import (
     write_power_csv,
     write_power_json,
 )
+from ginicov.distmat import class_pair_sums, pairwise_distances
 from ginicov.streams import substream
 
 
@@ -151,8 +154,34 @@ class RecordingExecutor:
         return map(fn, iterable)
 
 
+def _blas_after_a_product(seed):
+    """Worker: one class-pair-sum product on a small design, then the
+    OpenBLAS thread count and the number of this process's threads."""
+    rng = np.random.default_rng(seed)
+    d = pairwise_distances(rng.standard_normal((20, 4)))
+    class_pair_sums(d, rng.integers(0, 3, (5, 20)), 3)
+    return distmat._openblas_threads()[0](), len(os.listdir("/proc/self/task"))
+
+
 class TestRunTasks:
     CORES = os.cpu_count() or 1
+
+    @pytest.mark.skipif(
+        distmat._openblas_threads() is None
+        or not os.path.isdir("/proc/self/task")
+        or multiprocessing.get_start_method() != "fork",
+        reason="needs numpy's bundled OpenBLAS, /proc/self/task and forked workers",
+    )
+    def test_forked_workers_never_restart_the_blas_pool(self):
+        # a parent at two threads must not hand the count to its workers:
+        # a worker that sets it itself restarts OpenBLAS's pool after the fork
+        get, set_ = distmat._openblas_threads()
+        before = get()
+        try:
+            set_(2)
+            assert _run_tasks(_blas_after_a_product, [1, 2], 2) == [(1, 1), (1, 1)]
+        finally:
+            set_(before)
 
     @pytest.mark.parametrize(
         "tasks, threads, pools",
