@@ -123,6 +123,17 @@ def _check_matrix_rows(n: int) -> None:
         )
 
 
+def _check_feature_matrix(n: int, p: int) -> None:
+    """Raise ``TooLargeError`` when n rows of p features need a float64
+    feature matrix over ``_MAX_MATRIX_BYTES``."""
+    if 8 * n * p > _MAX_MATRIX_BYTES:
+        raise TooLargeError(
+            f"{n} rows of {p} features need a {8 * n * p / 2**30:.2f} GiB "
+            f"feature matrix, over its {_MAX_MATRIX_BYTES / 2**30:g} GiB "
+            "budget"
+        )
+
+
 def _cell_error(path, i: int, row: list, label_idx: int) -> ParseError:
     """The error for the first feature cell of ``row`` that is not a finite
     real; ``row`` must hold one."""
@@ -154,8 +165,10 @@ def load_csv(path, label_column, has_header: bool = True) -> LabeledDataset:
 
     The file is UTF-8 text; a leading byte-order mark is dropped.  Each row
     is checked and converted as it is read, so the first bad row ends the
-    read, and the row past the distance-matrix budget (the 11586th, see
-    ``_check_matrix_rows``) raises ``TooLargeError`` before any later row is
+    read.  The row past the distance-matrix budget (the 11586th, see
+    ``_check_matrix_rows``), or the first row whose features would take the
+    feature matrix past the same 1 GiB budget (``_check_feature_matrix``),
+    raises ``TooLargeError`` before it is converted or any later row is
     read.  A file that cannot be read or decoded, or that holds a malformed
     CSV record, raises ``GinicovError`` naming the file (and, for a
     malformed record, its line).
@@ -197,6 +210,7 @@ def load_csv(path, label_column, has_header: bool = True) -> LabeledDataset:
             label_idx %= width
             for i, row in enumerate(itertools.chain([first], rows)):
                 _check_matrix_rows(i + 1)
+                _check_feature_matrix(i + 1, width - 1)
                 if len(row) != width:
                     raise RaggedRowsError(
                         f"{path}: row {i} has {len(row)} fields, expected {width}"

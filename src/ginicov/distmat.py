@@ -1,5 +1,11 @@
 """Pairwise Euclidean distances, within-class pair sums and U-centering.
 
+Up to 1024 coordinates the distances are scipy's ``pdist``, whose module is
+imported by ``_scipy_distance`` on the first such call, not at package
+import: ``scipy.spatial`` pulls in ``scipy.sparse``, ``scipy.linalg`` and
+``scipy.special`` and costs about 0.3 s, which a ``ginicov test`` on a wide
+CSV never needs.
+
 The full n x n matrix is materialized once and shared by every estimator and
 every permutation replicate, which only relabels its rows before the class
 pair sums are taken.  It takes 8 * n**2 bytes, budgeted at 1 GiB
@@ -12,13 +18,17 @@ whether the caller is a study worker or a single ``ginicov test``: more
 threads oversubscribe a worker pool, and on two cores they made a lone
 product far less steady.  ``_pin_blas`` sets the thread count of numpy's
 bundled OpenBLAS to 1 through ``ctypes`` when it reads anything else, and
-never restores it: it runs before every product, and the study driver runs
-it once more just before its process pool forks.  OpenBLAS stops its own
-thread pool at every fork, and a worker whose first setter call changes the
-count restarts that pool, whose helper thread then spins on a core the
-sibling worker needs; workers that inherit a count of 1 never call the
-setter.  Where the library is not found, the product runs on the BLAS's own
-thread setting.
+never restores it.  It runs before every product.  Where the library is not
+found, the product runs on the BLAS's own thread setting.
+
+The study driver calls ``_before_fork`` just before its process pool forks.
+It pins the count and imports scipy's distance module in the parent, so
+every worker inherits both.  OpenBLAS stops its own thread pool at every
+fork, and a worker whose first setter call changes the count restarts that
+pool, whose helper thread then spins on a core the sibling worker needs;
+workers that inherit a count of 1 never call the setter.  Workers that
+inherit the module never import it; otherwise each fresh worker of every
+study call would pay that import again.
 """
 
 from __future__ import annotations
@@ -28,7 +38,6 @@ import functools
 import os
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
 
 from .core import LabeledDataset, _check_matrix_rows
 from .errors import TooSmallError
@@ -61,6 +70,7 @@ def pairwise_distances(ds) -> np.ndarray:
     n, p = x.shape
     _check_matrix_rows(n)
     if p <= _TREE_SUM_DIM:
+        pdist, squareform = _scipy_distance()
         return squareform(pdist(x))
 
     d = np.zeros((n, n), dtype=np.float64)
@@ -79,6 +89,14 @@ def pairwise_distances(ds) -> np.ndarray:
             d[i, j0:j1] = dist
             d[j0:j1, i] = dist
     return d
+
+
+@functools.cache
+def _scipy_distance():
+    """scipy's ``pdist`` and ``squareform``, imported on the first call."""
+    from scipy.spatial.distance import pdist, squareform
+
+    return pdist, squareform
 
 
 def u_center(d: np.ndarray) -> np.ndarray:
@@ -148,6 +166,14 @@ def _pin_blas() -> None:
     get, set_ = threads
     if get() != 1:
         set_(1)
+
+
+def _before_fork() -> None:
+    """Set up in this process what a forked study worker should inherit: the
+    one-thread BLAS count and scipy's distance module, so no worker pays for
+    either itself."""
+    _pin_blas()
+    _scipy_distance()
 
 
 def _one_thread_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:

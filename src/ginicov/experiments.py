@@ -20,9 +20,9 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .core import _MAX_MATRIX_BYTES, _check_matrix_rows, group_index
-from .distmat import _pin_blas, pairwise_distances
-from .errors import DegenerateSampleError, TooFewClassesError, TooLargeError
+from .core import _check_feature_matrix, _check_matrix_rows, group_index
+from .distmat import _before_fork, pairwise_distances
+from .errors import DegenerateSampleError, TooFewClassesError
 from .ktest import (
     METHOD_DCOV_PERM,
     METHOD_GINI_NORMAL,
@@ -84,14 +84,9 @@ class StudyConfig:
             raise TooFewClassesError(
                 f"testing needs at least 2 classes, got {len(self.scenario.sizes)}"
             )
-        n, p = sum(self.scenario.sizes), self.scenario.p
+        n = sum(self.scenario.sizes)
         _check_matrix_rows(n)
-        if 8 * n * p > _MAX_MATRIX_BYTES:
-            raise TooLargeError(
-                f"{n} rows of {p} features need a {8 * n * p / 2**30:.2f} GiB "
-                f"feature matrix, over its {_MAX_MATRIX_BYTES / 2**30:g} GiB "
-                "budget"
-            )
+        _check_feature_matrix(n, self.scenario.p)
 
     @property
     def root_seed(self) -> int:
@@ -174,8 +169,9 @@ def _run_tasks(worker, payloads, threads: int):
     if workers <= 1:
         return [worker(p) for p in payloads]
     chunk = max(1, len(payloads) // (workers * 8))
-    # workers inherit the one-thread count and never restart OpenBLAS's pool
-    _pin_blas()
+    # workers inherit the one-thread count, so they never restart OpenBLAS's
+    # pool, and scipy's distance module, so none imports it again
+    _before_fork()
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, payloads, chunksize=chunk))
 

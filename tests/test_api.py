@@ -1,9 +1,12 @@
 """The public surface: ``ginicov.__all__`` against what ``__init__`` binds,
-names that were removed stay removed, and no module imports a name it never
-uses."""
+names that were removed stay removed, no module imports a name it never
+uses, and importing the package loads no heavy scipy subpackage."""
 
 import ast
 import dataclasses
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -111,3 +114,22 @@ def test_the_unused_import_check_finds_one(tmp_path):
     f = tmp_path / "m.py"
     f.write_text("import os\nimport sys  # noqa: F401\nimport json\nprint(json)\n")
     assert unused_imports(f) == ["m.py:1: os"]
+
+
+@pytest.mark.parametrize("module", ["ginicov", "ginicov.cli"])
+def test_import_loads_no_heavy_scipy_subpackage(module):
+    # scipy.spatial (and the scipy.sparse and scipy.special it pulls in) is
+    # imported on the first pdist call, not with the package
+    heavy = ("scipy.spatial", "scipy.sparse", "scipy.special")
+    script = (
+        f"import sys, {module}\n"
+        f"print(sorted(m for m in sys.modules if m.startswith({heavy!r})))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

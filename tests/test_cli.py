@@ -126,6 +126,18 @@ class TestCmdTest:
         assert captured.out == ""
         assert captured.err.startswith("error: 11586 rows need")
 
+    def test_feature_matrix_over_budget_exits_one(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(ginicov.core, "_MAX_MATRIX_BYTES", 8 * 4 * 50)
+        f = tmp_path / "wide.csv"
+        f.write_text(
+            "".join(f"{'ab'[i % 2]}," + ",".join(["1"] * 50) + "\n" for i in range(5))
+        )
+        code = main(["test", "--input", str(f), "--label-col", "0", "--no-header"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: 5 rows of 50 features need a")
+
     @pytest.mark.parametrize(
         "name, content",
         [

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import ginicov.core
 from ginicov import (
     EmptyDatasetError,
     GinicovError,
@@ -193,6 +194,21 @@ class TestLoadCsvOnePass:
         _, refused = traced_peak(refuse)
         _, full = traced_peak(parse)
         assert refused < full / 3
+
+    def test_wide_file_is_refused_at_the_row_past_the_feature_budget(
+        self, tmp_path, monkeypatch
+    ):
+        # 4 rows of 50 features fill the budget exactly; the 5th row crosses
+        # it and is refused before its malformed cell is converted
+        monkeypatch.setattr(ginicov.core, "_MAX_MATRIX_BYTES", 8 * 4 * 50)
+        rows = [[f"{i}.5"] * 50 for i in range(4)] + [["oops"] * 50]
+        body = "".join(f"{'ab'[i % 2]}," + ",".join(r) + "\n" for i, r in enumerate(rows))
+        f = tmp_path / "wide.csv"
+        f.write_text("y," + ",".join(f"x{j}" for j in range(50)) + "\n" + body)
+        with pytest.raises(TooLargeError, match="^5 rows of 50 features need a"):
+            load_csv(f, "y")
+        f.write_text(f.read_text().rsplit("\n", 2)[0] + "\n")
+        assert load_csv(f, "y").data.shape == (4, 50)
 
     def test_byte_order_mark_is_dropped(self, tmp_path):
         f = tmp_path / "bom.csv"

@@ -1,9 +1,14 @@
 import multiprocessing
 import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ginicov.experiments
 from ginicov import distmat
@@ -30,6 +35,8 @@ from ginicov.experiments import (
 )
 from ginicov.distmat import class_pair_sums, pairwise_distances
 from ginicov.streams import substream
+
+SRC = os.path.dirname(os.path.dirname(ginicov.__file__))
 
 
 class TestKde:
@@ -137,7 +144,9 @@ class TestNormalityStudy:
 
 class RecordingExecutor:
     """Stand-in for ProcessPoolExecutor: records its worker count and maps
-    in-process, so no process is started."""
+    in-process, so no process is started.  It runs the chunks last first, as
+    a pool's workers may finish them, and returns the results in order, as a
+    pool does."""
 
     max_workers = []
 
@@ -151,7 +160,10 @@ class RecordingExecutor:
         return False
 
     def map(self, fn, iterable, chunksize=1):
-        return map(fn, iterable)
+        items = list(iterable)
+        chunks = [items[i : i + chunksize] for i in range(0, len(items), chunksize)]
+        done = [[fn(x) for x in chunk] for chunk in reversed(chunks)]
+        return [r for chunk in reversed(done) for r in chunk]
 
 
 def _blas_after_a_product(seed):
@@ -182,6 +194,35 @@ class TestRunTasks:
             assert _run_tasks(_blas_after_a_product, [1, 2], 2) == [(1, 1), (1, 1)]
         finally:
             set_(before)
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="needs forked workers",
+    )
+    def test_forked_workers_inherit_scipys_distance_module(self):
+        # a fresh interpreter, so no earlier test has imported scipy.spatial
+        script = textwrap.dedent(
+            """
+            import sys
+            import ginicov
+            from ginicov.experiments import _run_tasks
+
+            assert "scipy.spatial" not in sys.modules
+
+            def probe(_):
+                return "scipy.spatial.distance" in sys.modules
+
+            print(_run_tasks(probe, [1, 2], 2))
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[True, True]\n"
 
     @pytest.mark.parametrize(
         "tasks, threads, pools",
@@ -270,6 +311,33 @@ class TestSizePowerStudy:
         a = size_power_study(cfg, [0.0, 1.0], threads=1)
         b = size_power_study(cfg, [0.0, 1.0], threads=2)
         assert [r.rejection_rate for r in a] == [r.rejection_rate for r in b]
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        sizes=st.tuples(*[st.integers(4, 8)] * 3),
+        p=st.integers(1, 6),
+        replicates=st.integers(1, 5),
+        permutations=st.integers(9, 19),
+        betas=st.lists(
+            st.floats(0.0, 1.0, allow_nan=False), min_size=1, max_size=3
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_do_not_depend_on_the_worker_count(
+        self, sizes, p, replicates, permutations, betas, seed
+    ):
+        cfg = StudyConfig(
+            scenario=ScenarioSpec(example=2, p=p, sizes=sizes, seed=seed),
+            replicates=replicates,
+            methods=ginicov.experiments.ALL_METHODS,
+            permutations=permutations,
+        )
+        serial = size_power_study(cfg, betas, threads=1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(RecordingExecutor, "max_workers", [])
+            mp.setattr(ginicov.experiments, "ProcessPoolExecutor", RecordingExecutor)
+            for threads in (2, 3, 5):
+                assert size_power_study(cfg, betas, threads=threads) == serial
 
     def test_shared_permutation_pass_matches_single_methods(self):
         # gini-perm and dcov-perm share one set of replicate streams; each
