@@ -42,7 +42,6 @@ from .ktest import (
     METHOD_GINI_PERM,
     TestResult,
     gini_normal_test,
-    normal_cdf,
     permutation_test,
 )
 from .simgen import ScenarioSpec, scenario_dataset
@@ -76,7 +75,6 @@ __all__ = [
     "group_index",
     "kde_gaussian",
     "load_csv",
-    "normal_cdf",
     "normality_study",
     "pairwise_distances",
     "permutation_test",

@@ -36,7 +36,6 @@ from .experiments import (
     write_power_json,
 )
 from .ktest import (
-    METHOD_DCOV_PERM,
     METHOD_GINI_NORMAL,
     METHOD_GINI_PERM,
     _check_alpha,
@@ -248,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument(
         "--method",
         default=METHOD_GINI_NORMAL,
-        choices=[METHOD_GINI_NORMAL, METHOD_GINI_PERM, METHOD_DCOV_PERM],
+        choices=ALL_METHODS,
     )
     t.add_argument("--alpha", type=float, default=0.05)
     t.add_argument("--permutations", type=int, default=999)

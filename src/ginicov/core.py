@@ -242,7 +242,7 @@ def load_csv(path, label_column, has_header: bool = True) -> LabeledDataset:
     return LabeledDataset(np.array(values), tuple(labels))
 
 
-def write_csv(ds: LabeledDataset, path, header: bool = True) -> None:
+def write_csv(ds: LabeledDataset, path) -> None:
     """Write a dataset so that ``load_csv`` reproduces it bit-exactly.
 
     Feature values are formatted with 17 significant digits, which float64
@@ -250,8 +250,7 @@ def write_csv(ds: LabeledDataset, path, header: bool = True) -> None:
     """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        if header:
-            writer.writerow(["label"] + [f"f{j}" for j in range(ds.p)])
+        writer.writerow(["label"] + [f"f{j}" for j in range(ds.p)])
         for i in range(ds.n):
             writer.writerow(
                 [str(ds.labels[i])] + [format(v, ".17g") for v in ds.data[i]]

@@ -47,15 +47,11 @@ from .errors import TooSmallError
 # rounding-error growth in high dimension.
 _TREE_SUM_DIM = 1024
 
-# Above this many classes, summing each class block beats the one-hot product,
-# whose work grows as n**2 * k (crossover measured for n = 60..1000)
+# Above this many classes, each class block is summed on its own: the one-hot
+# matrix (n x m*k) and its product grow with k.  The one-thread product still
+# wins up to at least k = 8, but no study design or benchmark workload
+# permutes more than 3 classes, so the cut stays at 4.
 _ONEHOT_MAX_K = 4
-
-
-def _as_matrix(x) -> np.ndarray:
-    if isinstance(x, LabeledDataset):
-        return x.data
-    return np.ascontiguousarray(x, dtype=np.float64)
 
 
 def pairwise_distances(ds) -> np.ndarray:
@@ -66,7 +62,8 @@ def pairwise_distances(ds) -> np.ndarray:
     evaluated once).  Raises ``TooLargeError`` when the matrix would exceed
     ``core._MAX_MATRIX_BYTES``.
     """
-    x = _as_matrix(ds)
+    x = (ds.data if isinstance(ds, LabeledDataset)
+         else np.ascontiguousarray(ds, dtype=np.float64))
     n, p = x.shape
     _check_matrix_rows(n)
     if p <= _TREE_SUM_DIM:
@@ -176,12 +173,6 @@ def _before_fork() -> None:
     _scipy_distance()
 
 
-def _one_thread_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` on one OpenBLAS thread, pinned by ``_pin_blas``."""
-    _pin_blas()
-    return a @ b
-
-
 def _block_pair_sums(d: np.ndarray, codes: np.ndarray, k: int) -> np.ndarray:
     """Sums of ``d`` over unordered pairs within each class of one labelling
     in [0, k), each class block summed by numpy's pairwise reduction."""
@@ -204,5 +195,6 @@ def class_pair_sums(d: np.ndarray, labelings, k: int) -> np.ndarray:
     m, n = labelings.shape
     onehot = np.zeros((n, m * k))
     onehot[np.arange(n)[:, None], labelings.T + k * np.arange(m)] = 1.0
-    within = _one_thread_product(d, onehot)
+    _pin_blas()
+    within = d @ onehot
     return np.einsum("il,il->l", onehot, within).reshape(m, k) / 2.0

@@ -147,13 +147,10 @@ def kde_gaussian(samples) -> np.ndarray:
     return dens
 
 
-def _stdnormal_pdf(xs: np.ndarray) -> np.ndarray:
-    return np.exp(-0.5 * xs * xs) / math.sqrt(2.0 * math.pi)
-
-
 def max_gap_to_normal(z_samples) -> float:
     """Sup over ``KDE_GRID`` of |KDE(z samples) - standard normal density|."""
-    return float(np.abs(kde_gaussian(z_samples) - _stdnormal_pdf(KDE_GRID)).max())
+    pdf = np.exp(-0.5 * KDE_GRID * KDE_GRID) / math.sqrt(2.0 * math.pi)
+    return float(np.abs(kde_gaussian(z_samples) - pdf).max())
 
 
 def _resolve_workers(threads: int) -> int:

@@ -100,7 +100,7 @@ def permutation_keys(seed: int, bs) -> np.ndarray:
             if src != dst:
                 pool[dst] = _mix(pool[dst], _hash(pool[src], next(consts)))
     state = np.stack([_hash(w, c) for w, c in zip(pool, _GENERATE)], axis=-1)
-    return state.astype("<u4").view("<u8").astype(np.uint64)
+    return state.astype("<u4", copy=False).view("<u8")
 
 
 def shuffled(keys, x) -> np.ndarray:

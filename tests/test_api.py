@@ -1,6 +1,7 @@
 """The public surface: ``ginicov.__all__`` against what ``__init__`` binds,
 names that were removed stay removed, no module imports a name it never
-uses, and importing the package loads no heavy scipy subpackage."""
+uses (save what perfbench's tracer rebinds), and importing the package
+loads no heavy scipy subpackage."""
 
 import ast
 import dataclasses
@@ -56,6 +57,7 @@ REMOVED = {
     "sigma0_sq": ginicov.estimators,
     "group_gmd_inputs": ginicov.distmat,
     "normal_quantile": ginicov.ktest,
+    "normal_cdf": ginicov.ktest,
 }
 
 
@@ -75,23 +77,31 @@ def test_removed_fields_stay_removed(cls, fields):
     assert not fields & {f.name for f in dataclasses.fields(cls)}
 
 
-def unused_imports(path: Path) -> list:
-    """Imported names never read in the module (nor listed in its
-    ``__all__``), skipping ``__future__`` imports and statements marked
-    ``# noqa: F401``."""
+def imports(path: Path) -> list:
+    """(name, line, excused) for each name the module imports, skipping
+    ``__future__``; excused when the statement is marked ``# noqa: F401``."""
     source = path.read_text()
     lines = source.splitlines()
-    tree = ast.parse(source)
-    imported = {}
-    for node in ast.walk(tree):
+    out = []
+    for node in ast.walk(ast.parse(source)):
         if not isinstance(node, (ast.Import, ast.ImportFrom)):
             continue
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
-        if any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
-            continue
+        excused = any(
+            "# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]
+        )
         for alias in node.names:
-            imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+            out.append(((alias.asname or alias.name).split(".")[0], node.lineno, excused))
+    return out
+
+
+def unused_imports(path: Path) -> list:
+    """Imported names never read in the module (nor listed in its
+    ``__all__``), skipping ``__future__`` imports and statements marked
+    ``# noqa: F401``."""
+    tree = ast.parse(path.read_text())
+    imported = {name: line for name, line, excused in imports(path) if not excused}
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
@@ -114,6 +124,30 @@ def test_the_unused_import_check_finds_one(tmp_path):
     f = tmp_path / "m.py"
     f.write_text("import os\nimport sys  # noqa: F401\nimport json\nprint(json)\n")
     assert unused_imports(f) == ["m.py:1: os"]
+
+
+def span_hook_targets() -> set:
+    """(module, attribute) pairs that perfbench's tracer rebinds, read from
+    ``perfbench/tracing.py``'s ``SPAN_HOOKS`` without importing perfbench."""
+    tree = ast.parse((PACKAGE.parents[1] / "perfbench" / "tracing.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "SPAN_HOOKS" for t in node.targets
+        ):
+            return {(module, attr) for module, attr, _ in ast.literal_eval(node.value)}
+    raise AssertionError("perfbench/tracing.py binds no SPAN_HOOKS")
+
+
+def test_every_excused_import_is_a_span_hook_target():
+    # an import kept only for the tracer to rebind goes with its hook
+    targets = span_hook_targets()
+    stray = [
+        f"{path.name}:{line}: {name}"
+        for path in MODULES
+        for name, line, excused in imports(path)
+        if excused and (path.stem, name) not in targets
+    ]
+    assert stray == []
 
 
 @pytest.mark.parametrize("module", ["ginicov", "ginicov.cli"])

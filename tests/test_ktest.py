@@ -1,27 +1,30 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 import ginicov.ktest
 from ginicov import (
     LabeledDataset,
     ScenarioSpec,
     TinyClassError,
+    gini_estimates,
     gini_normal_test,
     group_index,
-    normal_cdf,
     pairwise_distances,
     permutation_test,
     scenario_dataset,
     u_center,
 )
 from ginicov.distmat import class_pair_sums
-from ginicov.ktest import _perm_test_from_distance
+from ginicov.ktest import _normal_test_from_distance, _perm_test_from_distance
 from ginicov.streams import permutation_keys, shuffled, substream
 from test_core import traced_peak
 
-# values from a 50-digit erfc evaluation, truncated to double precision
+# Phi(x) from a 50-digit erfc evaluation, truncated to double precision; it
+# is the normal test's upper-tail p-value at z = -x
 CDF_ORACLE = [
     (-8.0, 6.220960574271784e-16),
     (-5.0, 2.866515718791939e-07),
@@ -81,14 +84,48 @@ def reference_perm_test(d, gi, statistic, permutations, seed):
     return t_obs, (1.0 + n_ge) / (permutations + 1.0)
 
 
-class TestNormalCdfQuantile:
-    def test_cdf_against_oracle(self):
-        for x, ref in CDF_ORACLE:
-            assert abs(normal_cdf(x) - ref) <= 1e-12
+class TestNormalUpperTail:
+    @staticmethod
+    def p_value_at(monkeypatch, z):
+        """gini-normal's p-value on a small dataset whose estimates are
+        replaced by gcov = z and sigma0^2 = 1, so its z is exactly z."""
+        monkeypatch.setattr(
+            ginicov.ktest, "gini_estimates",
+            lambda d, gi: dataclasses.replace(gini_estimates(d, gi), gcov=z, sigma0_sq=1.0),
+        )
+        res = gini_normal_test(two_class_dataset(np.random.default_rng(0)))
+        assert res.z == z
+        return res.p_value
 
-    def test_cdf_symmetry(self):
-        for x in (0.1, 0.7, 1.3, 2.9, 5.5):
-            assert abs(normal_cdf(-x) - (1.0 - normal_cdf(x))) <= 1e-14
+    @pytest.mark.parametrize("z", [3.0, 6.0, 8.3, 10.0])
+    def test_p_value_keeps_its_relative_accuracy_in_the_tail(self, monkeypatch, z):
+        ref = float(ndtr(-z))
+        assert abs(self.p_value_at(monkeypatch, z) - ref) <= 1e-13 * ref
+
+    def test_p_value_against_oracle(self, monkeypatch):
+        for x, ref in CDF_ORACLE:
+            assert abs(self.p_value_at(monkeypatch, -x) - ref) <= 1e-13 * ref
+
+
+class TestUnbalancedNullCalibration:
+    @pytest.mark.parametrize(
+        "sizes, seed", [((72, 36, 12), 1672), ((50, 40, 30), 1650)]
+    )
+    def test_variance_and_size_on_the_unbalanced_null(self, sizes, seed):
+        # the null variance estimate and the normal test's level hold when
+        # the classes are far from equal in size (criterion 8 is balanced)
+        spec = ScenarioSpec(example=2, p=100, sizes=sizes, seed=seed)
+        gcovs, sig2s, rejects = [], [], 0
+        for r in range(400):
+            ds = scenario_dataset(spec, r)
+            d, gi = pairwise_distances(ds), group_index(ds)
+            est = gini_estimates(d, gi)
+            gcovs.append(est.gcov)
+            sig2s.append(est.sigma0_sq)
+            rejects += _normal_test_from_distance(d, gi, 0.05).reject
+        ratio = float(np.var(gcovs, ddof=1) / np.mean(sig2s))
+        assert 0.75 <= ratio <= 1.25, ratio
+        assert 0.02 <= rejects / 400 <= 0.10, rejects
 
 
 class TestGiniNormalTest:
