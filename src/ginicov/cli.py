@@ -37,7 +37,6 @@ from .experiments import (
 )
 from .ktest import (
     METHOD_GINI_NORMAL,
-    METHOD_GINI_PERM,
     _check_alpha,
     _check_permutations,
     gini_normal_test,
@@ -85,14 +84,9 @@ def cmd_test(args) -> int:
     if args.method == METHOD_GINI_NORMAL:
         res = gini_normal_test(ds, alpha=args.alpha)
     else:
-        stat = "gini" if args.method == METHOD_GINI_PERM else "dcov"
         res = permutation_test(
-            ds,
-            statistic=stat,
-            permutations=args.permutations,
-            alpha=args.alpha,
-            seed=args.seed,
-        )
+            ds, permutations=args.permutations, alpha=args.alpha, seed=args.seed
+        )[args.method]
     gi = group_index(ds)
     out = {"method": res.method, "statistic": res.statistic}
     if res.z is not None:

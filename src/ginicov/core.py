@@ -161,7 +161,8 @@ def load_csv(path, label_column, has_header: bool = True) -> LabeledDataset:
 
     ``label_column`` selects the label column by header name (requires a
     header row) or by 0-based column index.  All remaining columns must
-    parse as finite reals and keep their file order.
+    parse as finite reals and keep their file order; a file with no other
+    column raises ``GinicovError`` at its first row.
 
     The file is UTF-8 text; a leading byte-order mark is dropped.  Each row
     is checked and converted as it is read, so the first bad row ends the
@@ -208,6 +209,8 @@ def load_csv(path, label_column, has_header: bool = True) -> LabeledDataset:
                     f"label column index {label_idx} out of range for {width} columns"
                 )
             label_idx %= width
+            if width < 2:
+                raise GinicovError(f"{path}: row 0 holds no feature column")
             for i, row in enumerate(itertools.chain([first], rows)):
                 _check_matrix_rows(i + 1)
                 _check_feature_matrix(i + 1, width - 1)

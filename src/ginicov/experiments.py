@@ -76,6 +76,8 @@ class StudyConfig:
                 raise ValueError(
                     f"unknown method {m!r}; choose from {', '.join(ALL_METHODS)}"
                 )
+            if self.methods.count(m) > 1:
+                raise ValueError(f"method {m!r} is listed more than once")
         if set(self.methods) - {METHOD_GINI_NORMAL}:
             _check_permutations(self.permutations)
         # a one-class or over-budget sample is refused before any data is

@@ -33,7 +33,12 @@ _SQRT2 = math.sqrt(2.0)
 _BLOCK = 128
 # kernel blocks per stream-key hash: at most 2048 keys (32 KiB) for any B
 _KEY_BLOCKS = 16
-_PERM_METHODS = {"gini": METHOD_GINI_PERM, "dcov": METHOD_DCOV_PERM}
+# the methods of the engine's two statistic rows, in row order
+_PERM_METHODS = (METHOD_GINI_PERM, METHOD_DCOV_PERM)
+# rounding scale, relative to the pooled mean distance: a permutation
+# replicate this close to the observed value ties it, and a null deviation
+# this small makes the normal test degenerate
+_ROUNDING = 100.0 * np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -68,9 +73,10 @@ def _check_permutations(permutations: int) -> None:
 def _normal_test_from_distance(d, gi, alpha: float) -> TestResult:
     est = gini_estimates(d, gi)
     sigma0 = math.sqrt(est.sigma0_sq)
-    # all points coincide (or the centered matrix vanishes): report the
-    # non-rejection outright instead of dividing by zero
-    z = est.gcov / sigma0 if sigma0 != 0.0 else None
+    # a null deviation at the rounding scale (all points coincide, or they
+    # are equidistant, so the centered matrix vanishes) would make z
+    # rounding noise over rounding noise: report the non-rejection outright
+    z = est.gcov / sigma0 if sigma0 > _ROUNDING * est.delta_hat else None
     # the upper tail from erfc keeps its relative accuracy however large z is
     p_value = 0.5 * math.erfc(z / _SQRT2) if z is not None else 1.0
     return TestResult(
@@ -129,10 +135,9 @@ def _perm_test_from_distance(d, gi, permutations: int, alpha: float, seed: int):
     stream (seed, b).  Replicates within 100 eps x the pooled mean distance
     below the observed value tie it, as exact arithmetic would.  Only running
     counts are kept, so memory does not grow with B."""
-    _check_permutations(permutations)
     pooled = float(d.sum()) / 2.0
     row_sums = d.sum(axis=1)
-    gamma = 100.0 * np.finfo(np.float64).eps * pooled / math.comb(gi.n, 2)
+    gamma = _ROUNDING * pooled / math.comb(gi.n, 2)
     blocks = _labellings(seed, gi.codes, permutations)
     stats = _block_statistics(d, gi, next(blocks), pooled, row_sums)
     # running counts of the replicates at or above t_obs - gamma
@@ -146,31 +151,23 @@ def _perm_test_from_distance(d, gi, permutations: int, alpha: float, seed: int):
             method=method, statistic=float(t), z=None, p_value=float(p),
             alpha=alpha, reject=bool(p <= alpha), permutations=permutations, seed=seed,
         )
-        for method, t, p in zip(_PERM_METHODS.values(), t_obs, p_values)
+        for method, t, p in zip(_PERM_METHODS, t_obs, p_values)
     }
 
 
 def permutation_test(
-    ds: LabeledDataset,
-    statistic: str = "gini",
-    permutations: int = 999,
-    alpha: float = 0.05,
-    seed: int = 0,
-) -> TestResult:
-    """Permutation-calibrated K-sample test.
+    ds: LabeledDataset, permutations: int = 999, alpha: float = 0.05, seed: int = 0
+) -> dict:
+    """Permutation-calibrated K-sample tests of the Gini covariance and the
+    squared-weight distance-covariance comparator, keyed by method
+    ("gini-perm", "dcov-perm"); both share one set of labellings.
 
-    ``statistic`` chooses between the Gini covariance ("gini") and the
-    squared-weight distance-covariance comparator ("dcov").  The label
-    vector is reshuffled uniformly for each replicate; the add-one p-value
-    (1 + #{T_b >= T_obs, up to rounding}) / (B + 1) is valid at any finite B.
-    Deterministic given ``seed``.
+    The label vector is reshuffled uniformly for each replicate; the add-one
+    p-value (1 + #{T_b >= T_obs, up to rounding}) / (B + 1) is valid at any
+    finite B.  Deterministic given ``seed``.
     """
-    if statistic not in _PERM_METHODS:
-        raise ValueError(f"unknown permutation statistic {statistic!r}")
     _check_alpha(alpha)
+    _check_permutations(permutations)
     gi = group_index(ds)
     validate_for_testing(gi)
-    results = _perm_test_from_distance(
-        pairwise_distances(ds), gi, permutations, alpha, seed
-    )
-    return results[_PERM_METHODS[statistic]]
+    return _perm_test_from_distance(pairwise_distances(ds), gi, permutations, alpha, seed)

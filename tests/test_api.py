@@ -1,7 +1,7 @@
 """The public surface: ``ginicov.__all__`` against what ``__init__`` binds,
 names that were removed stay removed, no module imports a name it never
-uses (save what perfbench's tracer rebinds), and importing the package
-loads no heavy scipy subpackage."""
+uses (save what perfbench's tracer rebinds), importing the package loads
+no heavy scipy subpackage, and the README's library example runs."""
 
 import ast
 import dataclasses
@@ -148,6 +148,14 @@ def test_every_excused_import_is_a_span_hook_target():
         if excused and (path.stem, name) not in targets
     ]
     assert stray == []
+
+
+def test_readme_library_example_runs():
+    # the documented example goes stale with any change to the API it shows
+    readme = (PACKAGE.parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(block, "README.md:Library", "exec"), {})
 
 
 @pytest.mark.parametrize("module", ["ginicov", "ginicov.cli"])

@@ -160,6 +160,16 @@ class TestCmdTest:
         assert captured.err.startswith(f"error: {f}: ")
         assert captured.err.count("\n") == 1
 
+    def test_label_column_alone_exits_one_at_the_first_row(self, tmp_path, capsys):
+        # the ragged last row is never reached
+        f = tmp_path / "labels.csv"
+        f.write_text("y\n" + "a\nb\n" * 25 + "a,1\n")
+        code = main(["test", "--input", str(f), "--label-col", "y"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {f}: row 0 holds no feature column\n"
+
     def test_label_col_by_index_without_header(self, tmp_path, capsys):
         f = tmp_path / "nh.csv"
         f.write_text("a,0\na,2\nb,1\nb,3\n")
@@ -430,8 +440,14 @@ class TestSettingsBeforeProvenance:
             (["normality", "--p", "4", "--reps", "2", "--threads", "-1"],
              "threads must be >= 0"),
             (["normality", "--p", "4", "--reps", "1"], "the normality study's KDE"),
+            (
+                ["simulate", "--example", "2", "--p", "4", "--sizes", "3,3,3",
+                 "--reps", "2", "--methods", "gini-perm,gini-perm"],
+                "method 'gini-perm' is listed more than once",
+            ),
         ],
-        ids=["simulate-threads", "normality-threads", "normality-reps"],
+        ids=["simulate-threads", "normality-threads", "normality-reps",
+             "simulate-repeated-method"],
     )
     def test_bad_setting_exits_two_without_provenance(
         self, tmp_path, capsys, args, message

@@ -139,6 +139,19 @@ class TestGiniNormalTest:
         assert res.p_value == 0.5
         assert not res.degenerate
 
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 3.7, 1e6])
+    @pytest.mark.parametrize("n", [6, 9, 11, 16, 25, 40])
+    def test_degenerate_equidistant(self, n, scale):
+        # one-hot rows are pairwise equidistant, so the U-centered matrix
+        # vanishes in exact arithmetic and sigma0 is rounding noise; the
+        # permutation test ties every replicate at the same scale
+        ds = LabeledDataset(scale * np.eye(n), tuple(("ab" * n)[:n]))
+        res = gini_normal_test(ds)
+        assert res.degenerate and res.z is None
+        assert res.p_value == 1.0 and not res.reject
+        for perm in permutation_test(ds, permutations=19, seed=n).values():
+            assert perm.p_value == 1.0
+
     def test_degenerate_all_identical(self):
         ds = LabeledDataset(np.ones((8, 2)), ("a",) * 4 + ("b",) * 4)
         res = gini_normal_test(ds)
@@ -207,35 +220,49 @@ class TestGiniNormalTest:
         assert rates[2] >= 0.95
 
 
+class TestArgumentsBeforeDistances:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda ds: gini_normal_test(ds, alpha=1.5),
+            lambda ds: permutation_test(ds, alpha=0),
+            lambda ds: permutation_test(ds, permutations=0),
+            lambda ds: permutation_test(ds, permutations=2**32),
+        ],
+        ids=["normal-alpha", "perm-alpha", "perm-b-zero", "perm-b-word"],
+    )
+    def test_refused_before_the_distance_matrix(self, monkeypatch, call):
+        def no_distances(ds):
+            raise AssertionError("distances computed before the arguments")
+
+        monkeypatch.setattr(ginicov.ktest, "pairwise_distances", no_distances)
+        with pytest.raises(ValueError):
+            call(two_class_dataset(np.random.default_rng(36)))
+
+
 class TestPermutationTest:
     def test_identical_points_p_one(self):
         ds = LabeledDataset(np.ones((6, 2)), ("a",) * 3 + ("b",) * 3)
-        res = permutation_test(ds, "gini", permutations=25, seed=9)
-        assert res.statistic == 0.0
-        assert res.p_value == 1.0
+        for res in permutation_test(ds, permutations=25, seed=9).values():
+            assert res.statistic == 0.0
+            assert res.p_value == 1.0
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(23)
         ds = two_class_dataset(rng, shift=0.4)
-        a = permutation_test(ds, "gini", permutations=99, seed=5)
-        b = permutation_test(ds, "gini", permutations=99, seed=5)
-        assert a.p_value == b.p_value
-        assert a.statistic == b.statistic
-        c = permutation_test(ds, "gini", permutations=99, seed=6)
-        assert a.p_value != c.p_value or a.statistic == c.statistic
+        a = permutation_test(ds, permutations=99, seed=5)
+        assert permutation_test(ds, permutations=99, seed=5) == a
+        c = permutation_test(ds, permutations=99, seed=6)
+        for m in a:
+            assert a[m].p_value != c[m].p_value or a[m].statistic == c[m].statistic
 
     def test_p_value_on_grid(self):
         rng = np.random.default_rng(24)
         for b in (9, 33):
             ds = two_class_dataset(rng)
-            res = permutation_test(ds, "gini", permutations=b, seed=1)
             grid = [(k + 1) / (b + 1) for k in range(b + 1)]
-            assert any(abs(res.p_value - g) < 1e-15 for g in grid)
-
-    def test_invalid_b(self):
-        rng = np.random.default_rng(25)
-        with pytest.raises(ValueError):
-            permutation_test(two_class_dataset(rng), "gini", permutations=0)
+            for res in permutation_test(ds, permutations=b, seed=1).values():
+                assert any(abs(res.p_value - g) < 1e-15 for g in grid)
 
     def test_b_beyond_one_stream_word(self):
         # the batched streams hash b as one 32-bit word; the guard fires
@@ -243,43 +270,40 @@ class TestPermutationTest:
         ds = two_class_dataset(np.random.default_rng(25))
         for b in (2**32, 2**40):
             with pytest.raises(ValueError, match=r"2\*\*32"):
-                permutation_test(ds, "gini", permutations=b)
+                permutation_test(ds, permutations=b)
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, -1.0, 1.5, math.nan])
     def test_alpha_outside_unit_interval(self, alpha):
         ds = two_class_dataset(np.random.default_rng(29))
-        for stat in ("gini", "dcov"):
-            with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
-                permutation_test(ds, stat, permutations=9, alpha=alpha)
-
-    def test_unknown_statistic(self):
-        rng = np.random.default_rng(26)
-        with pytest.raises(ValueError):
-            permutation_test(two_class_dataset(rng), "energy")
+        with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
+            permutation_test(ds, permutations=9, alpha=alpha)
 
     def test_reject_rule_and_metadata(self):
         rng = np.random.default_rng(27)
         ds = two_class_dataset(rng, shift=1.5)
-        res = permutation_test(ds, "dcov", permutations=49, alpha=0.05, seed=11)
-        assert res.method == "dcov-perm"
-        assert res.permutations == 49
-        assert res.seed == 11
-        assert res.reject == (res.p_value <= 0.05)
+        results = permutation_test(ds, permutations=49, alpha=0.05, seed=11)
+        assert list(results) == ["gini-perm", "dcov-perm"]
+        for method, res in results.items():
+            assert res.method == method
+            assert res.permutations == 49
+            assert res.seed == 11
+            assert res.reject == (res.p_value <= 0.05)
 
     def test_p_value_validity_under_null(self):
         # exchangeable null: P(p <= a) must not exceed a beyond Monte Carlo
         # tolerance of two binomial standard errors
         reps = 2000
-        hits = {0.01: 0, 0.05: 0, 0.1: 0}
+        hits = {(m, a): 0 for m in ("gini-perm", "dcov-perm")
+                for a in (0.01, 0.05, 0.1)}
         for r in range(reps):
             x = substream(2401, r).standard_normal((16, 3))
             ds = LabeledDataset(x, (0,) * 8 + (1,) * 8)
-            res = permutation_test(ds, "gini", permutations=99, seed=r)
-            for a in hits:
-                hits[a] += res.p_value <= a
-        for a, h in hits.items():
+            results = permutation_test(ds, permutations=99, seed=r)
+            for m, a in hits:
+                hits[m, a] += results[m].p_value <= a
+        for (m, a), h in hits.items():
             bound = a + 2.0 * math.sqrt(a * (1 - a) / reps)
-            assert h / reps <= bound, (a, h / reps, bound)
+            assert h / reps <= bound, (m, a, h / reps, bound)
 
     def test_row_permutation_leaves_p_distribution_unchanged(self):
         rng = np.random.default_rng(28)
@@ -291,8 +315,8 @@ class TestPermutationTest:
         ds_p = LabeledDataset(x[perm], tuple(labels[i] for i in perm))
         p_orig, p_perm = [], []
         for s in range(400):
-            a = permutation_test(ds, "gini", permutations=59, seed=s)
-            b = permutation_test(ds_p, "gini", permutations=59, seed=s)
+            a = permutation_test(ds, permutations=59, seed=s)["gini-perm"]
+            b = permutation_test(ds_p, permutations=59, seed=s)["gini-perm"]
             # the observed statistic never depends on row order
             assert abs(a.statistic - b.statistic) <= 1e-12
             p_orig.append(a.p_value)
@@ -303,7 +327,7 @@ class TestPermutationTest:
         ds = LabeledDataset(np.array([[0.0], [1.0], [5.0]]), ("a", "a", "b"))
         with pytest.raises(TinyClassError):
             # class b has one member; the size gate fires first
-            permutation_test(ds, "dcov", permutations=9)
+            permutation_test(ds, permutations=9)
 
     def test_engine_matches_reference_loop(self):
         # the batched engine sums in another order, so statistics agree to
@@ -340,9 +364,8 @@ class TestPermutationTest:
                 lab = codes[substream(trial, b).permutation(codes.size)]
                 ties += all(np.unique(lab[codes == c]).size == 1 for c in range(3))
             floor = (1.0 + ties) / (permutations + 1.0)
-            for statistic in ("gini", "dcov"):
-                res = permutation_test(ds, statistic, permutations, seed=trial)
-                assert res.p_value >= floor, (trial, statistic, ties)
+            for res in permutation_test(ds, permutations, seed=trial).values():
+                assert res.p_value >= floor, (trial, res.method, ties)
 
     def test_equal_class_sizes_give_equal_p_values(self):
         # with equal sizes both statistics are decreasing affine functions
