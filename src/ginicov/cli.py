@@ -133,10 +133,12 @@ def _blas() -> dict | None:
     return {"name": blas.get("name"), "version": blas.get("version")}
 
 
-def _provenance(config: dict) -> None:
+def _provenance(args) -> None:
+    """One JSON line on stderr: the subcommand's parsed options, as given or
+    defaulted, plus the versions and BLAS behind the run."""
     versions = dict(ginicov=__version__, numpy=np.__version__, scipy=scipy.__version__)
     record = {
-        "config": config,
+        "config": {k: v for k, v in vars(args).items() if k != "func"},
         "versions": versions,
         "blas": _blas(),
         "kernel_blas_threads": kernel_blas_threads(),
@@ -163,22 +165,7 @@ def cmd_simulate(args) -> int:
     _check_out_path(args.out)
     if args.json_out:
         _check_out_path(args.json_out)
-    _provenance(
-        {
-            "subcommand": "simulate",
-            "example": args.example,
-            "p": args.p,
-            "sizes": list(sizes),
-            "beta_grid": betas,
-            "methods": list(methods),
-            "alpha": args.alpha,
-            "permutations": args.permutations,
-            "replicates": args.reps,
-            "seed": args.seed,
-            "threads": args.threads,
-            "out": args.out,
-        }
-    )
+    _provenance(args)
     start = time.perf_counter()
     rows = size_power_study(cfg, betas, threads=args.threads)
     elapsed_ms = (time.perf_counter() - start) * 1e3
@@ -197,17 +184,7 @@ def cmd_normality(args) -> int:
     _check_kde_replicates(cfg.replicates)
     _resolve_workers(args.threads)
     _check_out_path(args.out)
-    _provenance(
-        {
-            "subcommand": "normality",
-            "p": args.p,
-            "sizes": list(sizes),
-            "replicates": args.reps,
-            "seed": args.seed,
-            "threads": args.threads,
-            "out": args.out,
-        }
-    )
+    _provenance(args)
     row = normality_study(cfg, threads=args.threads)
     write_normality_csv(row, args.out)
     print(

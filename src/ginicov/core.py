@@ -32,13 +32,18 @@ _MAX_MATRIX_BYTES = 1 << 30
 
 @dataclass(frozen=True, eq=False)
 class LabeledDataset:
-    """Immutable (X, Y) sample: features in 64-bit floats, labels verbatim."""
+    """Immutable (X, Y) sample: features in 64-bit floats, labels verbatim.
+
+    ``data`` is a read-only view of the input when that is already a
+    C-contiguous float64 matrix (no copy; the caller's array stays writeable),
+    and a read-only copy otherwise."""
 
     data: np.ndarray
     labels: tuple
 
     def __post_init__(self):
-        data = np.ascontiguousarray(self.data, dtype=np.float64)
+        # a view, so that freezing it leaves the caller's array writeable
+        data = np.ascontiguousarray(self.data, dtype=np.float64).view()
         if data.ndim != 2:
             raise ValueError(f"data must be a 2-D matrix, got ndim={data.ndim}")
         n, p = data.shape

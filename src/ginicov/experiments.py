@@ -43,6 +43,8 @@ _PERM_SALT = 0x70657274
 # the KDE's evaluation grid: -4 to 4 in steps of 0.01
 KDE_GRID = np.linspace(-4.0, 4.0, 801)
 KDE_GRID.setflags(write=False)
+# grid points per KDE slice: its temporaries hold _KDE_ROWS x m doubles
+_KDE_ROWS = 64
 
 POWER_CSV_HEADER = (
     "example,p,sizes,beta,method,alpha,replicates,rejection_rate,elapsed_ms"
@@ -123,12 +125,13 @@ class NormalityRow:
 
 
 def silverman_bandwidth(samples: np.ndarray) -> float:
-    """0.9 * min(sd, IQR/1.34) * m^(-1/5); robust to heavy tails."""
+    """0.9 * min(sd, IQR/1.34) * m^(-1/5); robust to heavy tails.  A zero
+    IQR falls back to the sd, as R's ``bw.nrd0`` does."""
     m = samples.size
     sd = float(samples.std(ddof=1))
     q75, q25 = np.percentile(samples, [75.0, 25.0])
     iqr = float(q75 - q25)
-    spread = min(sd, iqr / 1.34)
+    spread = min(sd, iqr / 1.34) or sd
     if spread <= 0.0:
         raise DegenerateSampleError(
             "all samples coincide; no bandwidth can be resolved"
@@ -143,8 +146,12 @@ def kde_gaussian(samples) -> np.ndarray:
     if z.size < 2:
         raise ValueError(f"KDE needs at least 2 samples, got {z.size}")
     h = silverman_bandwidth(z)
-    u = (KDE_GRID[:, None] - z[None, :]) / h
-    dens = np.exp(-0.5 * u * u).sum(axis=1)
+    dens = np.empty(KDE_GRID.size)
+    # each grid point sums its own contiguous m-vector, so the density does
+    # not depend on the slice size
+    for i in range(0, KDE_GRID.size, _KDE_ROWS):
+        u = (KDE_GRID[i:i + _KDE_ROWS, None] - z[None, :]) / h
+        dens[i:i + _KDE_ROWS] = np.exp(-0.5 * u * u).sum(axis=1)
     dens *= 1.0 / (z.size * h * math.sqrt(2.0 * math.pi))
     return dens
 

@@ -137,7 +137,11 @@ def _perm_test_from_distance(d, gi, permutations: int, alpha: float, seed: int):
     counts are kept, so memory does not grow with B."""
     pooled = float(d.sum()) / 2.0
     row_sums = d.sum(axis=1)
-    gamma = _ROUNDING * pooled / math.comb(gi.n, 2)
+    pairs = math.comb(gi.n, 2)
+    gamma = _ROUNDING * pooled / pairs
+    # every distance at the pooled mean (equidistant or coincident rows)
+    # leaves both statistics rounding noise: report the non-rejection outright
+    degenerate = bool(d.max() - pooled / pairs <= gamma)
     blocks = _labellings(seed, gi.codes, permutations)
     stats = _block_statistics(d, gi, next(blocks), pooled, row_sums)
     # running counts of the replicates at or above t_obs - gamma
@@ -145,11 +149,12 @@ def _perm_test_from_distance(d, gi, permutations: int, alpha: float, seed: int):
     n_ge = (stats[:, 1:] >= floor).sum(axis=1)
     for labs in blocks:
         n_ge += (_block_statistics(d, gi, labs, pooled, row_sums) >= floor).sum(axis=1)
-    p_values = (1.0 + n_ge) / (permutations + 1.0)
+    p_values = np.ones(2) if degenerate else (1.0 + n_ge) / (permutations + 1.0)
     return {
         method: TestResult(
             method=method, statistic=float(t), z=None, p_value=float(p),
             alpha=alpha, reject=bool(p <= alpha), permutations=permutations, seed=seed,
+            degenerate=degenerate,
         )
         for method, t, p in zip(_PERM_METHODS, t_obs, p_values)
     }

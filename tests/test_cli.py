@@ -8,7 +8,7 @@ import pytest
 import scipy
 
 import ginicov
-from ginicov.cli import main
+from ginicov.cli import build_parser, main
 
 VERSIONS = {
     "ginicov": ginicov.__version__,
@@ -26,6 +26,13 @@ def assert_blas_provenance(provenance):
     threads = provenance["kernel_blas_threads"]
     assert threads == ginicov.distmat.kernel_blas_threads()
     assert threads in (1, None)
+
+
+def assert_config_is_the_command_line(provenance, argv):
+    # every parsed option, as given or defaulted, in the parser's order
+    parsed = vars(build_parser().parse_args(argv))
+    del parsed["func"]
+    assert list(provenance["config"].items()) == list(parsed.items())
 
 
 @pytest.fixture
@@ -78,6 +85,20 @@ class TestCmdTest:
         assert payload["seed"] == 1
         assert payload["n"] == 4 and payload["p"] == 1 and payload["K"] == 2
         assert payload["class_counts"] == [2, 2]
+
+    @pytest.mark.parametrize("method", ["gini-normal", "gini-perm", "dcov-perm"])
+    def test_equidistant_rows_are_degenerate(self, tmp_path, capsys, method):
+        f = tmp_path / "eye.csv"
+        # rows of np.eye(11), labelled a, b, a, ...; no header
+        f.write_text("".join(
+            "ab"[i % 2] + "," + ",".join(map(str, row)) + "\n"
+            for i, row in enumerate(np.eye(11))
+        ))
+        argv = ["test", "--input", str(f), "--label-col", "0", "--no-header"]
+        assert main(argv + ["--method", method]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["degenerate"] is True
+        assert payload["p_value"] == 1.0 and payload["reject"] is False
 
     def test_permutations_beyond_one_stream_word_exit_two(self, four_csv, capsys):
         code = main(
@@ -236,19 +257,19 @@ class TestCmdTest:
 class TestCmdSimulate:
     def test_row_count_for_grid(self, tmp_path, capsys):
         out = tmp_path / "rows.csv"
-        code = main(
-            [
-                "simulate", "--example", "2", "--p", "4", "--sizes", "3,3,3",
-                "--beta-grid", "0,0.2,0.4,0.6,0.8,1", "--reps", "2",
-                "--methods", "gini-normal,gini-perm", "--permutations", "9",
-                "--seed", "7", "--out", str(out),
-            ]
-        )
+        argv = [
+            "simulate", "--example", "2", "--p", "4", "--sizes", "3,3,3",
+            "--beta-grid", "0,0.2,0.4,0.6,0.8,1", "--reps", "2",
+            "--methods", "gini-normal,gini-perm", "--permutations", "9",
+            "--seed", "7", "--out", str(out), "--json-out", str(tmp_path / "r.json"),
+        ]
+        code = main(argv)
         assert code == 0
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 1 + 12
         err = capsys.readouterr().err
         provenance = json.loads(err.split("\n")[0])
+        assert_config_is_the_command_line(provenance, argv)
         assert provenance["config"]["seed"] == 7
         assert provenance["versions"] == VERSIONS
         assert_blas_provenance(provenance)
@@ -368,18 +389,18 @@ class TestCmdSimulate:
 class TestCmdNormality:
     def test_summary_plus_z_lines(self, tmp_path, capsys):
         out = tmp_path / "n.csv"
-        code = main(
-            [
-                "normality", "--p", "5", "--reps", "100", "--seed", "3",
-                "--sizes", "8,9,10", "--out", str(out),
-            ]
-        )
+        argv = [
+            "normality", "--p", "5", "--reps", "100", "--seed", "3",
+            "--sizes", "8,9,10", "--out", str(out),
+        ]
+        code = main(argv)
         assert code == 0
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "p,replicates,max_density_gap"
         assert lines[1].startswith("5,100,")
         assert len(lines) == 3 + 100
         provenance = json.loads(capsys.readouterr().err.split("\n")[0])
+        assert_config_is_the_command_line(provenance, argv)
         assert provenance["config"]["subcommand"] == "normality"
         assert provenance["versions"] == VERSIONS
         assert_blas_provenance(provenance)

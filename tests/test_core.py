@@ -258,6 +258,16 @@ class TestLabeledDataset:
         with pytest.raises(ValueError):
             ds.data[0, 0] = 1.0
 
+    def test_callers_array_stays_writeable(self):
+        a = np.random.default_rng(3).standard_normal((6, 3))
+        ds = LabeledDataset(a, "aabbcc")
+        # a view of the caller's float64 matrix, not a copy
+        assert np.shares_memory(ds.data, a)
+        a[0, 0] = 1.0
+        assert ds.data[0, 0] == 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            ds.data[0, 0] = 2.0
+
 
 class TestGroupIndex:
     def test_counts_and_proportions(self):

@@ -35,6 +35,7 @@ from ginicov.experiments import (
 )
 from ginicov.distmat import class_pair_sums, pairwise_distances
 from ginicov.streams import substream
+from test_core import traced_peak
 
 SRC = os.path.dirname(os.path.dirname(ginicov.__file__))
 
@@ -63,6 +64,28 @@ class TestKde:
         sd = z.std(ddof=1)
         iqr = np.percentile(z, 75) - np.percentile(z, 25)
         assert abs(h - 0.9 * min(sd, iqr / 1.34) * 800 ** (-0.2)) <= 1e-15
+
+    def test_zero_iqr_falls_back_to_the_sd(self):
+        # eight zeros, as a mostly degenerate normality study enters them
+        z = np.array([0.0] * 8 + [1.0, 2.0])
+        assert np.percentile(z, 75) == np.percentile(z, 25)
+        assert silverman_bandwidth(z) == 0.9 * z.std(ddof=1) * 10 ** (-0.2)
+        assert np.isfinite(kde_gaussian(z)).all()
+
+    @pytest.mark.parametrize("m", [2, 3, 17, 96, 1000, 5001])
+    def test_sliced_density_equals_the_one_shot_formula(self, m):
+        z = substream(64, m).standard_normal(m)
+        h = silverman_bandwidth(z)
+        u = (KDE_GRID[:, None] - z[None, :]) / h
+        one_shot = np.exp(-0.5 * u * u).sum(axis=1)
+        one_shot *= 1.0 / (m * h * np.sqrt(2.0 * np.pi))
+        assert np.array_equal(kde_gaussian(z), one_shot)
+
+    def test_traced_peak_stays_below_one_grid_wide_temporary(self):
+        # one 801 x m temporary alone is 128 MB at m = 20000, so a KDE that
+        # spans the whole grid at once breaks the bound
+        z = substream(65).standard_normal(20000)
+        assert traced_peak(lambda: kde_gaussian(z))[1] < 64e6
 
     def test_self_consistency_on_exact_normal_draws(self):
         z = substream(63).standard_normal(5000)

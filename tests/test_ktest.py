@@ -139,18 +139,26 @@ class TestGiniNormalTest:
         assert res.p_value == 0.5
         assert not res.degenerate
 
-    @pytest.mark.parametrize("scale", [1e-3, 1.0, 3.7, 1e6])
-    @pytest.mark.parametrize("n", [6, 9, 11, 16, 25, 40])
+    @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 3.7, 1e6])
+    @pytest.mark.parametrize("n", [5, 6, 9, 11, 16, 25, 40])
     def test_degenerate_equidistant(self, n, scale):
         # one-hot rows are pairwise equidistant, so the U-centered matrix
         # vanishes in exact arithmetic and sigma0 is rounding noise; the
-        # permutation test ties every replicate at the same scale
-        ds = LabeledDataset(scale * np.eye(n), tuple(("ab" * n)[:n]))
+        # permutation statistics are rounding noise too, and flagged so
+        labels = tuple(("ab" * n)[:n])
+        ds = LabeledDataset(scale * np.eye(n), labels)
         res = gini_normal_test(ds)
         assert res.degenerate and res.z is None
         assert res.p_value == 1.0 and not res.reject
-        for perm in permutation_test(ds, permutations=19, seed=n).values():
-            assert perm.p_value == 1.0
+        for perm in permutation_test(ds, permutations=19, alpha=0.5, seed=n).values():
+            assert perm.degenerate
+            assert perm.p_value == 1.0 and not perm.reject
+        # one distance off the pooled mean is not degenerate
+        x = scale * np.eye(n)
+        x[0, 0] *= 1.5
+        spread = LabeledDataset(x, labels)
+        for perm in permutation_test(spread, permutations=19).values():
+            assert not perm.degenerate
 
     def test_degenerate_all_identical(self):
         ds = LabeledDataset(np.ones((8, 2)), ("a",) * 4 + ("b",) * 4)
@@ -243,9 +251,10 @@ class TestArgumentsBeforeDistances:
 class TestPermutationTest:
     def test_identical_points_p_one(self):
         ds = LabeledDataset(np.ones((6, 2)), ("a",) * 3 + ("b",) * 3)
-        for res in permutation_test(ds, permutations=25, seed=9).values():
+        for res in permutation_test(ds, permutations=25, alpha=0.5, seed=9).values():
             assert res.statistic == 0.0
-            assert res.p_value == 1.0
+            assert res.p_value == 1.0 and not res.reject
+            assert res.degenerate
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(23)
@@ -285,6 +294,7 @@ class TestPermutationTest:
         assert list(results) == ["gini-perm", "dcov-perm"]
         for method, res in results.items():
             assert res.method == method
+            assert not res.degenerate
             assert res.permutations == 49
             assert res.seed == 11
             assert res.reject == (res.p_value <= 0.05)
