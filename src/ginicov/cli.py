@@ -165,6 +165,8 @@ def cmd_simulate(args) -> int:
     _check_out_path(args.out)
     if args.json_out:
         _check_out_path(args.json_out)
+        if os.path.realpath(args.json_out) == os.path.realpath(args.out):
+            raise ValueError(f"--out and --json-out name the same file: {args.out!r}")
     _provenance(args)
     start = time.perf_counter()
     rows = size_power_study(cfg, betas, threads=args.threads)

@@ -49,8 +49,9 @@ _TREE_SUM_DIM = 1024
 
 # Above this many classes, each class block is summed on its own: the one-hot
 # matrix (n x m*k) and its product grow with k.  The one-thread product still
-# wins up to at least k = 8, but no study design or benchmark workload
-# permutes more than 3 classes, so the cut stays at 4.
+# wins up to k = 16 at n = 1000 and past k = 32 at n = 300 (README ledger),
+# but no study design or benchmark workload permutes more than 3 classes,
+# so the cut stays at 4.
 _ONEHOT_MAX_K = 4
 
 

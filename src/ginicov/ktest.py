@@ -31,8 +31,8 @@ _SQRT2 = math.sqrt(2.0)
 
 # most labellings per kernel call: its buffers stay O(n * _BLOCK) for any B
 _BLOCK = 128
-# kernel blocks per stream-key hash: at most 2048 keys (32 KiB) for any B
-_KEY_BLOCKS = 16
+# streams per stream-key hash, a multiple of _BLOCK: 32 KiB of keys for any B
+_KEYS = 16 * _BLOCK
 # the methods of the engine's two statistic rows, in row order
 _PERM_METHODS = (METHOD_GINI_PERM, METHOD_DCOV_PERM)
 # rounding scale, relative to the pooled mean distance: a permutation
@@ -97,25 +97,21 @@ def gini_normal_test(ds: LabeledDataset, alpha: float = 0.05) -> TestResult:
 
 
 def _labellings(seed: int, codes, permutations: int):
-    """The observed codes, then ``shuffled`` rows of the streams (seed, b) for
-    b = 1..B, in the near-equal blocks of 2.._BLOCK labellings that
-    ``np.array_split(range(B + 1), n_blocks)`` makes, without holding O(B)
-    indices.  The keys are hashed once per chunk of _KEY_BLOCKS blocks."""
-    n_blocks = -(-(permutations + 1) // _BLOCK)
-    q, r = divmod(permutations + 1, n_blocks)
-
-    def bound(i):  # start of block i
-        return i * q + min(i, r)
-
-    for first in range(0, n_blocks, _KEY_BLOCKS):
-        last = min(first + _KEY_BLOCKS, n_blocks)
-        lo = bound(first)
-        # keys[j] is stream lo + j's; b = 0's is hashed but never used
-        keys = permutation_keys(seed, range(lo, bound(last)))
-        for i in range(first, last):
-            start, stop = bound(i), bound(i + 1)
-            labs = shuffled(keys[max(start, 1) - lo:stop - lo], codes)
-            yield np.vstack([codes, labs]) if start == 0 else labs
+    """The observed codes, then ``shuffled`` rows of the streams (seed, b)
+    for b = 1..B, in slices of _BLOCK labellings (the last may hold fewer).
+    The observed codes are row 0 of the first block, which B >= 1 makes
+    multi-row: a one-row product takes another BLAS kernel, whose last bits
+    differ.  Keys are hashed _KEYS streams at a time, so memory does not
+    grow with B."""
+    for lo in range(0, permutations + 1, _KEYS):
+        # keys[j] is stream lo + j's; b = 0 is no replicate, and its row
+        # becomes the observed codes
+        keys = permutation_keys(seed, range(lo, min(lo + _KEYS, permutations + 1)))
+        for i in range(0, len(keys), _BLOCK):
+            labs = shuffled(keys[i:i + _BLOCK], codes)
+            if lo + i == 0:
+                labs[0] = codes
+            yield labs
         del keys, labs  # freed before the next chunk is hashed
 
 

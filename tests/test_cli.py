@@ -385,6 +385,28 @@ class TestCmdSimulate:
         payload = json.loads(mirror.read_text())
         assert len(payload) == 1 and payload[0]["example"] == 3
 
+    @pytest.mark.parametrize("mirror", ["same.csv", "./same.csv"])
+    def test_json_mirror_on_the_csv_exits_two_before_provenance(
+        self, tmp_path, capsys, monkeypatch, mirror
+    ):
+        def no_generation(*a):
+            raise AssertionError("a study whose outputs clash generated data")
+
+        monkeypatch.setattr(ginicov.experiments, "scenario_dataset", no_generation)
+        monkeypatch.chdir(tmp_path)
+        code = main(
+            ["simulate", "--example", "2", "--p", "3", "--sizes", "3,3,3",
+             "--reps", "2", "--threads", "1", "--out", "same.csv",
+             "--json-out", mirror]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "usage error: --out and --json-out name the same file: 'same.csv'\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestCmdNormality:
     def test_summary_plus_z_lines(self, tmp_path, capsys):

@@ -389,9 +389,12 @@ class TestPermutationTest:
             )
             assert res["gini-perm"].p_value == res["dcov-perm"].p_value
 
-    def test_kernel_never_gets_a_single_labelling(self, monkeypatch):
-        # pins the engine's blocking: near-equal blocks of 2..128 labellings,
-        # the observed one summed in the same product as its replicates
+    def test_blocks_are_slices_of_the_stream_order(self, monkeypatch):
+        # pins the engine's blocking: full blocks of _BLOCK labellings in
+        # stream order, the last one holding the rest, and the observed
+        # labelling summed in the same product as its first replicates
+        block, keys = ginicov.ktest._BLOCK, ginicov.ktest._KEYS
+        assert keys % block == 0
         shapes = []
 
         def recording(d, labelings, k):
@@ -401,11 +404,12 @@ class TestPermutationTest:
         monkeypatch.setattr(ginicov.ktest, "class_pair_sums", recording)
         ds = two_class_dataset(np.random.default_rng(33))
         d, gi = pairwise_distances(ds), group_index(ds)
-        for b in (1, 127, 128, 256, 999):
+        for b in (1, 127, 128, 129, 999, keys - 1, keys, keys + 64):
             shapes.clear()
             _perm_test_from_distance(d, gi, b, 0.05, 0)
-            assert sum(shapes) == b + 1 and min(shapes) >= 2, (b, shapes)
-            assert max(shapes) <= 128
+            assert sum(shapes) == b + 1, (b, shapes)
+            assert all(m == block for m in shapes[:-1]), (b, shapes)
+            assert shapes[0] == 1 + min(b, block - 1), (b, shapes)
 
     @pytest.mark.parametrize("seed", [0, 2**64 - 1, -1])
     def test_labellings_follow_the_streams_across_blocks_and_key_chunks(
@@ -420,9 +424,10 @@ class TestPermutationTest:
         monkeypatch.setattr(ginicov.ktest, "class_pair_sums", recording)
         ds = two_class_dataset(np.random.default_rng(34), n1=5, n2=4)
         d, gi = pairwise_distances(ds), group_index(ds)
-        # the last B spans two key chunks
-        chunk = ginicov.ktest._BLOCK * ginicov.ktest._KEY_BLOCKS
-        for b in (1, 127, 128, 129, 999, chunk + 64):
+        # the last two B span two key chunks; at B = _KEYS the second holds
+        # one stream, a one-row block
+        keys = ginicov.ktest._KEYS
+        for b in (1, 127, 128, 129, 999, keys - 1, keys, keys + 64):
             labellings.clear()
             _perm_test_from_distance(d, gi, b, 0.05, seed)
             expected = np.vstack(
