@@ -29,6 +29,9 @@ from .errors import (
 # Budget for the n x n distance matrix: 1 GiB of float64, n <= 11585
 _MAX_MATRIX_BYTES = 1 << 30
 
+# numpy's float parse reads these around a number as spaces; float() does not
+_SEPARATORS = "\x1c\x1d\x1e\x1f"
+
 
 @dataclass(frozen=True, eq=False)
 class LabeledDataset:
@@ -161,24 +164,111 @@ def _cell_error(path, i: int, row: list, label_idx: int) -> ParseError:
             )
 
 
+def _label_index(path, label_column, header) -> int:
+    """The label column's index as given (negative counts from the end),
+    resolved against ``header`` when it is given by name."""
+    if isinstance(label_column, int) or (
+        isinstance(label_column, str) and label_column.lstrip("-").isdigit()
+    ):
+        return int(label_column)
+    if header is None:
+        raise ValueError("label column by name requires a header row")
+    if label_column in header:
+        return header.index(label_column)
+    raise GinicovError(f"{path}: label column {label_column!r} not found in header")
+
+
 def load_csv(path, label_column, has_header: bool = True) -> LabeledDataset:
-    """Read a comma-separated file into a LabeledDataset, one row at a time.
+    """Read a comma-separated file into a LabeledDataset.
 
     ``label_column`` selects the label column by header name (requires a
     header row) or by 0-based column index.  All remaining columns must
     parse as finite reals and keep their file order; a file with no other
     column raises ``GinicovError`` at its first row.
 
-    The file is UTF-8 text; a leading byte-order mark is dropped.  Each row
-    is checked and converted as it is read, so the first bad row ends the
-    read.  The row past the distance-matrix budget (the 11586th, see
+    The file is UTF-8 text; a leading byte-order mark is dropped.  numpy's C
+    tokenizer reads it in one pass (``_load_table``).  Whatever that pass
+    does not accept as it stands -- a cell numpy cannot parse (``1_000``,
+    say, which ``float`` reads), a non-finite value, a row of another width,
+    fewer than 2 rows, a line longer than csv's field limit or holding one
+    of ``_SEPARATORS``, or a row past the budget below -- is read again from
+    the start by the row loop (``_load_rows``), which defines the format: it
+    returns that file's data or raises its error.  The row loop checks and
+    converts each row as it is read, so the first bad row ends the read.
+    The row past the distance-matrix budget (the 11586th, see
     ``_check_matrix_rows``), or the first row whose features would take the
     feature matrix past the same 1 GiB budget (``_check_feature_matrix``),
     raises ``TooLargeError`` before it is converted or any later row is
-    read.  A file that cannot be read or decoded, or that holds a malformed
-    CSV record, raises ``GinicovError`` naming the file (and, for a
-    malformed record, its line).
+    read; the one pass stops before that row too.  A file that cannot be
+    read or decoded, or that holds a malformed CSV record, raises
+    ``GinicovError`` naming the file (and, for a malformed record, its
+    line).
     """
+    try:
+        ds = _load_table(path, label_column, has_header)
+    except (ValueError, csv.Error, OSError, GinicovError):
+        ds = None
+    return _load_rows(path, label_column, has_header) if ds is None else ds
+
+
+def _load_table(path, label_column, has_header: bool):
+    """The dataset as numpy's C tokenizer reads the whole file, or None.
+
+    Returns None, or raises ``ValueError``, ``csv.Error``, ``OSError`` or
+    ``GinicovError``, wherever the row loop must decide; it never returns
+    data that the row loop would not.
+    """
+    labels = []
+
+    def keep(cell):
+        labels.append(cell)
+        return 0.0
+
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        header = next(csv.reader(fh), None) if has_header else None
+        label_idx = _label_index(path, label_column, header)
+        first = next(filter(lambda line: line.strip("\r\n"), fh), None)
+        if first is None:
+            return None
+        width = len(next(csv.reader([first])))
+        if (
+            width < 2
+            or not (-width <= label_idx < width)
+            or (header is not None and len(header) != width)
+        ):
+            return None
+        field_limit = csv.field_size_limit()
+
+        def lines():
+            # a line over csv's field limit may hold a field csv refuses; the
+            # row past the budget is refused before numpy converts it
+            rows = 0
+            for line in itertools.chain([first], fh):
+                if len(line) > field_limit or any(c in line for c in _SEPARATORS):
+                    raise ValueError("a line for the row loop")
+                if line.strip("\r\n"):
+                    rows += 1
+                    _check_matrix_rows(rows)
+                    _check_feature_matrix(rows, width - 1)
+                yield line
+
+        data = np.delete(
+            np.loadtxt(
+                lines(), delimiter=",", quotechar='"', comments=None, ndmin=2,
+                converters={label_idx: keep},
+            ),
+            label_idx,
+            axis=1,
+        )
+    if data.shape[1] != width - 1:
+        return None
+    # raises on fewer than 2 rows and on a non-finite value
+    return LabeledDataset(data, tuple(labels))
+
+
+def _load_rows(path, label_column, has_header: bool) -> LabeledDataset:
+    """Read the file one row at a time; each row is checked and converted as
+    it is read (see ``load_csv``)."""
     if not os.path.exists(path):
         raise FileNotFoundError(f"no such file: {path}")
     labels, values = [], []
@@ -188,18 +278,7 @@ def load_csv(path, label_column, has_header: bool = True) -> LabeledDataset:
             header = next(reader, None) if has_header else None
             if has_header and header is None:
                 raise EmptyDatasetError(f"{path} is empty")
-            if isinstance(label_column, int) or (
-                isinstance(label_column, str) and label_column.lstrip("-").isdigit()
-            ):
-                label_idx = int(label_column)
-            elif header is None:
-                raise ValueError("label column by name requires a header row")
-            elif label_column in header:
-                label_idx = header.index(label_column)
-            else:
-                raise GinicovError(
-                    f"{path}: label column {label_column!r} not found in header"
-                )
+            label_idx = _label_index(path, label_column, header)
             rows = filter(None, reader)  # blank lines hold no row
             first = next(rows, None)
             if first is None:

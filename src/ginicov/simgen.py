@@ -6,8 +6,8 @@ centered unit-exponential in design 3, so its marginals are skewed.
 Design 1 leaves every class alike (a pure null for the normality study).
 Designs 2 and 3 rescale the first ``round(beta * p)`` coordinates of classes
 2 and 3; design 2 also shifts them.  ``scenario_dataset`` is the only code
-path: it draws each class, stacks the classes, filters the stack once and
-then transforms the affected rows in place.
+path: it draws each class into its rows of one array, filters that array
+once and then transforms the affected rows in place.
 
 All draws come from substreams keyed by ``(seed, replicate, class_index)``,
 making each class of each replicate reproducible in isolation.
@@ -84,15 +84,17 @@ def scenario_dataset(spec: ScenarioSpec, replicate: int = 0) -> LabeledDataset:
     Class ``c`` draws its innovations from the substream keyed by
     ``(spec.seed, replicate, c)``; labels are the integers 1..K.
     """
-    draws = []
-    for c, n_c in enumerate(spec.sizes, start=1):
+    ends = np.cumsum(spec.sizes)
+    x = np.empty((ends[-1], spec.p))
+    for c, (lo, hi) in enumerate(zip(ends - spec.sizes, ends), start=1):
         rng = substream(spec.seed, replicate, c)
         if spec.example == 3:
-            draws.append(rng.exponential(1.0, size=(n_c, spec.p)) - 1.0)
+            rng.standard_exponential(out=x[lo:hi])
         else:
-            draws.append(rng.standard_normal((n_c, spec.p)))
-    x = _ar1_filter(np.vstack(draws), spec.rho)
-    ends = np.cumsum(spec.sizes)
+            rng.standard_normal(out=x[lo:hi])
+    if spec.example == 3:
+        x -= 1.0
+    _ar1_filter(x, spec.rho)
     if spec.example != 1:
         for c in (2, 3):
             rows = x[ends[c - 2]:ends[c - 1], :spec.affected]

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ginicov.core
 from ginicov import (
@@ -222,8 +224,10 @@ class TestLoadCsvOnePass:
         [
             (b"y,x\na,1\nb,\xff2\n", r"not UTF-8 text \(byte 0xff"),
             (b"y,x\na,1\nb," + b"1" * 131073 + b"\n", "line 3: field larger"),
+            # finite, so only the line-length rule keeps it from numpy
+            (b"y,x\na,1\nb,0." + b"0" * 131072 + b"1\n", "line 3: field larger"),
         ],
-        ids=["not-utf8", "field-over-limit"],
+        ids=["not-utf8", "field-over-limit", "finite-field-over-limit"],
     )
     def test_unreadable_content_is_a_data_error(self, tmp_path, content, message):
         f = tmp_path / "d.csv"
@@ -238,6 +242,119 @@ class TestLoadCsvOnePass:
         f.write_text("y,x\na,1\nb," + "1" * 131073 + "\n")
         with pytest.raises(GinicovError, match="label column 'label' not found"):
             load_csv(f, "label")
+
+
+# Cells for the files below: plain numbers, which numpy's tokenizer reads as
+# ``float`` does, and odd cells, which it may read otherwise or not at all.
+_PLAIN = ["0", "1", "-2.5", "3e2", ".5", "7."]
+_ODD = [
+    " 3 ", '"4"', '" 5 "', "\t6", '"7" ', ' "8"', "1_000", "\u0661", "nan",
+    "inf", "-Infinity", "1e400", "0x1", "1e-320", "-0.0", "", " ", "x",
+    '"a,b"', '"q""r"', '"', '"1\n2"', '"a\n\nb"', "a b", "2\x1c", "\x1f3",
+]
+
+
+@st.composite
+def csv_files(draw):
+    """A small CSV text, its label column and whether it has a header."""
+    width = draw(st.sampled_from([1, 2, 2, 3, 3, 4]))
+    rows = [
+        [draw(st.sampled_from(_PLAIN)) for _ in range(width)]
+        for _ in range(draw(st.integers(0, 5)))
+    ]
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, width - 1))] = draw(st.sampled_from(_ODD))
+    if rows and draw(st.sampled_from([False, False, True])):  # a ragged row
+        row = draw(st.sampled_from(rows))
+        row[:] = row[: draw(st.integers(0, width + 1))] + ["1"] * draw(
+            st.integers(0, 1)
+        )
+    lines = [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 2))):  # blank lines
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    has_header = draw(st.booleans())
+    names = [f"c{j}" for j in range(width + draw(st.sampled_from([0, 0, 0, 1])))]
+    if has_header:
+        lines.insert(0, ",".join(names))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = eol.join(lines) + draw(st.sampled_from(["", eol]))
+    label_column = draw(
+        st.one_of(
+            st.integers(-width - 1, width),
+            st.integers(-width, width - 1).map(str),
+            st.sampled_from(names + ["zz"]),
+        )
+    )
+    return text, label_column, has_header
+
+
+def outcome(load, path, label_column, has_header):
+    """What a loader makes of a file: its data and labels, or its error."""
+    try:
+        ds = load(path, label_column, has_header)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "row", None), getattr(exc, "col", None)
+    return ds.data.shape, ds.data.tobytes(), ds.labels
+
+
+class TestLoadCsvTokenizer:
+    """numpy's tokenizer reads what it can; the row loop decides the rest."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=csv_files())
+    def test_equals_the_row_loop(self, tmp_path_factory, case):
+        text, label_column, has_header = case
+        f = tmp_path_factory.getbasetemp() / "case.csv"
+        f.write_text(text, encoding="utf-8", newline="")
+        assert outcome(load_csv, f, label_column, has_header) == outcome(
+            ginicov.core._load_rows, f, label_column, has_header
+        )
+
+    @pytest.mark.parametrize(
+        "budget, width, fits, message",
+        [
+            (8 * 4 * 50, 51, 4, "^5 rows of 50 features need a"),
+            (72, 2, 3, "^4 rows need a"),
+        ],
+    )
+    def test_well_formed_rows_past_the_budget_are_refused(
+        self, tmp_path, monkeypatch, budget, width, fits, message
+    ):
+        monkeypatch.setattr(ginicov.core, "_MAX_MATRIX_BYTES", budget)
+        f = tmp_path / "d.csv"
+        rows = [
+            f"{'ab'[i % 2]}," + ",".join(["1.5"] * (width - 1)) for i in range(fits)
+        ]
+        f.write_text("\n".join(rows) + "\n")
+        # a file at the budget is the tokenizer's to read
+        ds = ginicov.core._load_table(f, 0, has_header=False)
+        assert ds.data.shape == (fits, width - 1)
+        f.write_text("\n".join(rows + rows[:1]) + "\n")
+        with pytest.raises(TooLargeError, match=message):
+            load_csv(f, 0, has_header=False)
+
+    def test_first_record_is_measured_whole(self, tmp_path):
+        # its first line has the header's width, the record itself one more
+        f = tmp_path / "d.csv"
+        f.write_text('y,x\n1,"2\n",3\n4,5,6\n')
+        with pytest.raises(RaggedRowsError, match="header has 2 fields but row 0 has"):
+            load_csv(f, "y")
+
+    @pytest.mark.parametrize("cell", ["2\x1c", "\x1f2"])
+    def test_information_separator_is_no_space(self, tmp_path, cell):
+        # numpy's parse skips it around a number; float() refuses it
+        f = tmp_path / "d.csv"
+        f.write_text(f"y,x\na,1\nb,{cell}\n")
+        with pytest.raises(ParseError, match="is not a number"):
+            load_csv(f, "y")
+
+    def test_tokenizer_reads_a_plain_file(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text('y,x1,x2\r\n"a,b",1,2\r\n\r\nb, 3 ,"4"\r\n')
+        ds = ginicov.core._load_table(f, "y", True)
+        assert ds.labels == ("a,b", "b")
+        assert ds.data.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
 
 class TestLabeledDataset:

@@ -253,3 +253,18 @@ class TestScenarioDataset:
             ds = scenario_dataset(spec, rep)
             assert np.array_equal(ds.data, data), (beta, p, size, rep)
             assert ds.labels == labels
+
+    @pytest.mark.parametrize("example", [1, 2, 3])
+    def test_innovations_are_the_per_class_draws_stacked(self, example):
+        # rho = 0 and beta = 0 leave every row as its class stream drew it
+        sizes = [(30, 40, 50), (2, 2, 5), (72, 36, 12)]
+        for size, p, rep in itertools.product(sizes, (1, 7, 500), range(2)):
+            spec = ScenarioSpec(example=example, p=p, sizes=size, rho=0.0, seed=12)
+            draws = []
+            for c, n_c in enumerate(size, start=1):
+                rng = substream(12, rep, c)
+                if example == 3:
+                    draws.append(rng.exponential(1.0, size=(n_c, p)) - 1.0)
+                else:
+                    draws.append(rng.standard_normal((n_c, p)))
+            assert np.array_equal(scenario_dataset(spec, rep).data, np.vstack(draws))
