@@ -79,13 +79,14 @@ def cmd_test(args) -> int:
     _check_alpha(args.alpha)
     if args.method != METHOD_GINI_NORMAL:
         _check_permutations(args.permutations)
-    _resolve_workers(args.threads)
+    threads = _resolve_workers(args.threads)
     ds = load_csv(args.input, args.label_col, not args.no_header)
     if args.method == METHOD_GINI_NORMAL:
-        res = gini_normal_test(ds, alpha=args.alpha)
+        res = gini_normal_test(ds, alpha=args.alpha, threads=threads)
     else:
         res = permutation_test(
-            ds, permutations=args.permutations, alpha=args.alpha, seed=args.seed
+            ds, permutations=args.permutations, alpha=args.alpha, seed=args.seed,
+            threads=threads,
         )[args.method]
     gi = group_index(ds)
     out = {"method": res.method, "statistic": res.statistic}
@@ -225,7 +226,13 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--alpha", type=float, default=0.05)
     t.add_argument("--permutations", type=int, default=999)
     t.add_argument("--seed", type=int, default=42)
-    t.add_argument("--threads", type=int, default=0, help="accepted; no effect")
+    t.add_argument(
+        "--threads",
+        type=int,
+        default=0,
+        help="threads for the distances of over 1024 features (0 = all cores); "
+        "the result does not depend on it",
+    )
     t.add_argument(
         "--no-header", action="store_true", help="the file has no header row"
     )

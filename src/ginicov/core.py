@@ -190,7 +190,8 @@ def load_csv(path, label_column, has_header: bool = True) -> LabeledDataset:
     tokenizer reads it in one pass (``_load_table``).  Whatever that pass
     does not accept as it stands -- a cell numpy cannot parse (``1_000``,
     say, which ``float`` reads), a non-finite value, a row of another width,
-    fewer than 2 rows, a line longer than csv's field limit or holding one
+    fewer than 2 rows, a line longer than csv's field limit that holds a
+    ``"`` or a comma-separated segment over that limit, a line holding one
     of ``_SEPARATORS``, or a row past the budget below -- is read again from
     the start by the row loop (``_load_rows``), which defines the format: it
     returns that file's data or raises its error.  The row loop checks and
@@ -240,11 +241,16 @@ def _load_table(path, label_column, has_header: bool):
         field_limit = csv.field_size_limit()
 
         def lines():
-            # a line over csv's field limit may hold a field csv refuses; the
-            # row past the budget is refused before numpy converts it
+            # only a line over csv's field limit can hold a field csv refuses:
+            # a quoted one, or a segment between commas over the limit (its
+            # line end counted); the row past the budget is refused before
+            # numpy converts it
             rows = 0
             for line in itertools.chain([first], fh):
-                if len(line) > field_limit or any(c in line for c in _SEPARATORS):
+                if (
+                    len(line) > field_limit
+                    and ('"' in line or _long_segment(line, field_limit))
+                ) or any(c in line for c in _SEPARATORS):
                     raise ValueError("a line for the row loop")
                 if line.strip("\r\n"):
                     rows += 1
@@ -264,6 +270,20 @@ def _load_table(path, label_column, has_header: bool):
         return None
     # raises on fewer than 2 rows and on a non-finite value
     return LabeledDataset(data, tuple(labels))
+
+
+def _long_segment(line: str, limit: int) -> bool:
+    """Whether a comma-separated segment of ``line`` runs over ``limit``
+    characters.  Each step jumps to the last comma within ``limit + 1``
+    characters of a segment's start, so a line costs a few scans, not one
+    string per field."""
+    start = 0
+    while start + limit < len(line):
+        comma = line.rfind(",", start, start + limit + 1)
+        if comma < 0:
+            return True
+        start = comma + 1
+    return False
 
 
 def _load_rows(path, label_column, has_header: bool) -> LabeledDataset:

@@ -12,6 +12,17 @@ pair sums are taken.  It takes 8 * n**2 bytes, budgeted at 1 GiB
 (``core._MAX_MATRIX_BYTES``, n <= 11585); a larger sample is refused with
 ``TooLargeError`` before anything of that size is allocated.
 
+Threads are used on the p > 1024 tiles only.  ``pairwise_distances(ds,
+threads)`` deals the rows of the upper triangle out to up to ``threads``
+threads, interleaved so each gets a like share of the triangle; numpy's
+subtract, square and sum release the GIL, so the tiles run in parallel.
+Each thread has its own tile buffer and writes only the entries of its own
+rows, each still numpy's pairwise sum over one contiguous p-vector, so the
+matrix is bit-identical for every thread count.  The pdist branch runs on
+the calling thread.  Study workers use the default of one thread, so a
+process pool is never oversubscribed; ``ginicov test --threads`` sets the
+count for a single test.
+
 A block of relabellings gets its class pair sums from one BLAS product with a
 one-hot label matrix.  That product runs on exactly one OpenBLAS thread,
 whether the caller is a study worker or a single ``ginicov test``: more
@@ -55,14 +66,18 @@ _TREE_SUM_DIM = 1024
 _ONEHOT_MAX_K = 4
 
 
-def pairwise_distances(ds) -> np.ndarray:
+def pairwise_distances(ds, threads: int = 1) -> np.ndarray:
     """Symmetric matrix of Euclidean distances between rows.
 
     Accepts a LabeledDataset or a plain (n, p) array.  The diagonal is
     exactly zero and the matrix is exactly symmetric (each unordered pair is
-    evaluated once).  Raises ``TooLargeError`` when the matrix would exceed
-    ``core._MAX_MATRIX_BYTES``.
+    evaluated once).  Above 1024 coordinates the rows are shared among up to
+    ``threads`` threads; the matrix does not depend on the count.  Raises
+    ``ValueError`` when ``threads`` is below 1, and ``TooLargeError`` when
+    the matrix would exceed ``core._MAX_MATRIX_BYTES``.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     x = (ds.data if isinstance(ds, LabeledDataset)
          else np.ascontiguousarray(ds, dtype=np.float64))
     n, p = x.shape
@@ -72,12 +87,32 @@ def pairwise_distances(ds) -> np.ndarray:
         return squareform(pdist(x))
 
     d = np.zeros((n, n), dtype=np.float64)
-    # upper triangle only, row i against tiles of later rows; a tile of
-    # (1 << 16) doubles (512 KB) stays in L2, and each entry is still numpy's
-    # pairwise sum over one contiguous p-vector
+    # interleaved rows balance the triangle: thread w takes rows w, w + step, ...
+    step = min(threads, n - 1, os.cpu_count() or 1)
+    if step <= 1:
+        _tile_rows(x, d, 0, 1)
+    else:
+        # imported on first use, so a process that never splits the tiles,
+        # a study worker say, keeps the module set it had without threads
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=step) as pool:
+            futures = [pool.submit(_tile_rows, x, d, w, step) for w in range(step)]
+            for future in futures:
+                future.result()  # raises a thread's exception here
+    return d
+
+
+def _tile_rows(x, d, first: int, step: int) -> None:
+    """Fill entries (i, j) and (j, i), j > i, of ``d`` for the rows
+    i = first, first + step, ... < n - 1; no other call writes them."""
+    n, p = x.shape
+    # row i against tiles of later rows; a tile of (1 << 16) doubles (512 KB)
+    # stays in L2, and each entry is still numpy's pairwise sum over one
+    # contiguous p-vector
     rows = max(1, (1 << 16) // p)
     buf = np.empty((rows, p), dtype=np.float64)
-    for i in range(n - 1):
+    for i in range(first, n - 1, step):
         for j0 in range(i + 1, n, rows):
             j1 = min(j0 + rows, n)
             diff = np.subtract(x[j0:j1], x[i], out=buf[: j1 - j0])
@@ -86,7 +121,6 @@ def pairwise_distances(ds) -> np.ndarray:
             # mirror tile by tile: d += d.T would copy the overlapping operand
             d[i, j0:j1] = dist
             d[j0:j1, i] = dist
-    return d
 
 
 @functools.cache

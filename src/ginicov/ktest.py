@@ -86,14 +86,18 @@ def _normal_test_from_distance(d, gi, alpha: float) -> TestResult:
     )
 
 
-def gini_normal_test(ds: LabeledDataset, alpha: float = 0.05) -> TestResult:
+def gini_normal_test(
+    ds: LabeledDataset, alpha: float = 0.05, threads: int = 1
+) -> TestResult:
     """One-sided test of class-distribution equality via the standardized
     Gini covariance; rejects when the upper-tail p-value falls below alpha.
+    ``threads`` is passed to ``pairwise_distances``; the result does not
+    depend on it.
     """
     _check_alpha(alpha)
     gi = group_index(ds)
     validate_for_testing(gi)
-    return _normal_test_from_distance(pairwise_distances(ds), gi, alpha)
+    return _normal_test_from_distance(pairwise_distances(ds, threads), gi, alpha)
 
 
 def _labellings(seed: int, codes, permutations: int):
@@ -157,7 +161,8 @@ def _perm_test_from_distance(d, gi, permutations: int, alpha: float, seed: int):
 
 
 def permutation_test(
-    ds: LabeledDataset, permutations: int = 999, alpha: float = 0.05, seed: int = 0
+    ds: LabeledDataset, permutations: int = 999, alpha: float = 0.05, seed: int = 0,
+    threads: int = 1,
 ) -> dict:
     """Permutation-calibrated K-sample tests of the Gini covariance and the
     squared-weight distance-covariance comparator, keyed by method
@@ -165,10 +170,12 @@ def permutation_test(
 
     The label vector is reshuffled uniformly for each replicate; the add-one
     p-value (1 + #{T_b >= T_obs, up to rounding}) / (B + 1) is valid at any
-    finite B.  Deterministic given ``seed``.
+    finite B.  Deterministic given ``seed``; ``threads`` is passed to
+    ``pairwise_distances`` and changes no result.
     """
     _check_alpha(alpha)
     _check_permutations(permutations)
     gi = group_index(ds)
     validate_for_testing(gi)
-    return _perm_test_from_distance(pairwise_distances(ds), gi, permutations, alpha, seed)
+    d = pairwise_distances(ds, threads)
+    return _perm_test_from_distance(d, gi, permutations, alpha, seed)

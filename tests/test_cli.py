@@ -249,6 +249,37 @@ class TestCmdTest:
         first, second = capsys.readouterr().out.splitlines()
         assert first == second
 
+    @pytest.mark.parametrize("method", ginicov.experiments.ALL_METHODS)
+    def test_wide_data_is_byte_identical_for_any_thread_count(
+        self, tmp_path, capsys, monkeypatch, method
+    ):
+        # p = 1100 takes the threaded tiles; three cores make 0 mean 3
+        rng = np.random.default_rng(21)
+        f = tmp_path / "wide.csv"
+        ginicov.write_csv(
+            ginicov.LabeledDataset(rng.standard_normal((24, 1100)),
+                                   tuple(i % 3 for i in range(24))),
+            f,
+        )
+        monkeypatch.setattr(ginicov.cli.os, "cpu_count", lambda: 3)
+        used = []
+        original = ginicov.ktest.pairwise_distances
+
+        def recording(ds, threads=1):
+            used.append(threads)
+            return original(ds, threads)
+
+        monkeypatch.setattr(ginicov.ktest, "pairwise_distances", recording)
+        args = ["test", "--input", str(f), "--label-col", "label",
+                "--method", method, "--permutations", "99", "--threads"]
+        outs = []
+        for threads in ("1", "2", "0"):
+            assert main(args + [threads]) == 0
+            outs.append(capsys.readouterr().out)
+        assert used == [1, 2, 3]
+        assert outs[0] == outs[1] == outs[2]
+        assert json.loads(outs[0])["p"] == 1100
+
     def test_unknown_flag_exits_two(self, four_csv):
         proc = run_cli(["test", "--input", four_csv, "--label-col", "y", "--bogus"])
         assert proc.returncode == 2

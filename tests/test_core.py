@@ -246,7 +246,7 @@ class TestLoadCsvOnePass:
 
 # Cells for the files below: plain numbers, which numpy's tokenizer reads as
 # ``float`` does, and odd cells, which it may read otherwise or not at all.
-_PLAIN = ["0", "1", "-2.5", "3e2", ".5", "7."]
+_PLAIN = ["0", "1", "-2.5", "3e2", ".5", "7.", "1234.5678"]
 _ODD = [
     " 3 ", '"4"', '" 5 "', "\t6", '"7" ', ' "8"', "1_000", "\u0661", "nan",
     "inf", "-Infinity", "1e400", "0x1", "1e-320", "-0.0", "", " ", "x",
@@ -256,7 +256,9 @@ _ODD = [
 
 @st.composite
 def csv_files(draw):
-    """A small CSV text, its label column and whether it has a header."""
+    """A small CSV text, its label column, whether it has a header and csv's
+    field limit to read it under: the default, or one that small lines and
+    cells run over."""
     width = draw(st.sampled_from([1, 2, 2, 3, 3, 4]))
     rows = [
         [draw(st.sampled_from(_PLAIN)) for _ in range(width)]
@@ -286,7 +288,8 @@ def csv_files(draw):
             st.sampled_from(names + ["zz"]),
         )
     )
-    return text, label_column, has_header
+    field_limit = draw(st.sampled_from([csv.field_size_limit(), 3, 4, 6, 12]))
+    return text, label_column, has_header, field_limit
 
 
 def outcome(load, path, label_column, has_header):
@@ -304,12 +307,44 @@ class TestLoadCsvTokenizer:
     @settings(max_examples=400, deadline=None)
     @given(case=csv_files())
     def test_equals_the_row_loop(self, tmp_path_factory, case):
-        text, label_column, has_header = case
+        text, label_column, has_header, field_limit = case
         f = tmp_path_factory.getbasetemp() / "case.csv"
         f.write_text(text, encoding="utf-8", newline="")
-        assert outcome(load_csv, f, label_column, has_header) == outcome(
-            ginicov.core._load_rows, f, label_column, has_header
+        default = csv.field_size_limit(field_limit)
+        try:
+            assert outcome(load_csv, f, label_column, has_header) == outcome(
+                ginicov.core._load_rows, f, label_column, has_header
+            )
+        finally:
+            csv.field_size_limit(default)
+
+    @settings(max_examples=300, deadline=None)
+    @given(line=st.text(",ab\n", max_size=40), limit=st.integers(0, 12))
+    def test_long_segment_is_the_longest_split(self, line, limit):
+        assert ginicov.core._long_segment(line, limit) == (
+            max(map(len, line.split(","))) > limit
         )
+
+    @pytest.mark.parametrize(
+        "line, one_pass",
+        [("a,1.25,2.5", True), ("a,1.2500000,2.5", False), ('"a",1.25,2.5', False)],
+    )
+    def test_lines_over_the_field_limit(self, tmp_path, line, one_pass):
+        # unquoted fields within the limit are the tokenizer's to read
+        f = tmp_path / "d.csv"
+        f.write_text(f"y,x1,x2\nb,3,4\n{line}\n")
+        default = csv.field_size_limit(8)
+        try:
+            try:
+                ds = ginicov.core._load_table(f, "y", True)
+            except ValueError:
+                ds = None
+            assert (ds is not None) == one_pass
+            assert outcome(load_csv, f, "y", True) == outcome(
+                ginicov.core._load_rows, f, "y", True
+            )
+        finally:
+            csv.field_size_limit(default)
 
     @pytest.mark.parametrize(
         "budget, width, fits, message",

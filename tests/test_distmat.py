@@ -1,4 +1,8 @@
+import concurrent.futures
+import os
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -155,6 +159,81 @@ class TestPairwiseDistances:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+class TestThreadedDistances:
+    """Above 1024 coordinates the rows of the triangle are dealt out to
+    threads; the matrix must not depend on how many."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 40),
+        p=st.integers(1025, 1100),
+        threads=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bits_do_not_depend_on_the_thread_count(self, n, p, threads, seed):
+        x = np.random.default_rng(seed).standard_normal((n, p))
+        # four cores, so the cap leaves the 3- and 4-way splits on any host
+        with mock.patch.object(os, "cpu_count", return_value=4):
+            assert np.array_equal(pairwise_distances(x, threads),
+                                  pairwise_distances(x, 1))
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    @pytest.mark.parametrize("p", [3, 1025])
+    def test_fewer_than_one_thread_is_refused(self, threads, p):
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            pairwise_distances(np.ones((4, p)), threads)
+
+    @pytest.mark.parametrize(
+        "n, p, threads, cores, workers",
+        [
+            (30, 1025, 1, 8, None),  # one thread runs in the caller
+            (2, 1025, 4, 8, None),  # one row to fill
+            (3, 1025, 4, 8, 2),  # capped by n - 1
+            (30, 1025, 4, 2, 2),  # capped by the cores
+            (30, 1025, 4, None, None),  # an unknown core count counts as 1
+            (30, 1025, 3, 8, 3),
+            (30, 1024, 4, 8, None),  # pdist's branch
+        ],
+    )
+    def test_threads_are_capped_by_rows_and_cores(
+        self, monkeypatch, n, p, threads, cores, workers
+    ):
+        pools, submitted = [], []
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+            def submit(self, fn, *args):
+                submitted.append(fn)
+                return super().submit(fn, *args)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        pairwise_distances(np.zeros((n, p)), threads)
+        assert pools == ([] if workers is None else [workers])
+        assert len(submitted) == (workers or 0)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_traced_peak_is_the_matrix_and_one_tile_per_thread(
+        self, monkeypatch, threads
+    ):
+        n = 300
+        x = np.random.default_rng(9).standard_normal((n, 2000))
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        tracemalloc.start()
+        try:
+            pairwise_distances(x, threads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # each thread holds a tile of at most 2**16 doubles (512 KB) and the
+        # broadcasting subtract's iterator buffer, np.getbufsize() doubles
+        per_thread = 8 * ((1 << 16) + np.getbufsize())
+        assert peak < 8 * n * n + threads * per_thread + (32 << 10)
 
 
 class TestUCenter:
