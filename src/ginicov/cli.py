@@ -80,7 +80,7 @@ def cmd_test(args) -> int:
     if args.method != METHOD_GINI_NORMAL:
         _check_permutations(args.permutations)
     threads = _resolve_workers(args.threads)
-    ds = load_csv(args.input, args.label_col, not args.no_header)
+    ds = load_csv(args.input, args.label_col, not args.no_header, workers=threads)
     if args.method == METHOD_GINI_NORMAL:
         res = gini_normal_test(ds, alpha=args.alpha, threads=threads)
     else:
@@ -176,6 +176,13 @@ def cmd_simulate(args) -> int:
     if args.json_out:
         write_power_json(rows, args.json_out)
     print(f"wrote {len(rows)} rows to {args.out} ({elapsed_ms:.0f} ms)", file=sys.stderr)
+    for row in rows:
+        if row.degenerate:
+            print(
+                f"{row.method} at beta {row.beta:g}: {row.degenerate} of "
+                f"{row.replicates} replicates were degenerate (no rejection)",
+                file=sys.stderr,
+            )
     return 0
 
 
@@ -230,8 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=0,
-        help="threads for the distances of over 1024 features (0 = all cores); "
-        "the result does not depend on it",
+        help="processes that parse the CSV and threads that compute the "
+        "distances of over 1024 features (0 = all cores); the result does not "
+        "depend on it",
     )
     t.add_argument(
         "--no-header", action="store_true", help="the file has no header row"

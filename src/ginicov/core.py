@@ -8,7 +8,9 @@ derived output stable across runs.
 
 from __future__ import annotations
 
+import codecs
 import csv
+import io
 import itertools
 import math
 import os
@@ -31,6 +33,10 @@ _MAX_MATRIX_BYTES = 1 << 30
 
 # numpy's float parse reads these around a number as spaces; float() does not
 _SEPARATORS = "\x1c\x1d\x1e\x1f"
+
+# Least bytes of a CSV range that a forked child parses: a fork costs a few
+# ms, numpy's parse about 8 ms per MB
+_SPLIT_BYTES = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,6 +126,14 @@ def validate_for_testing(gi: GroupIndex) -> None:
             )
 
 
+def _usable_cores() -> int:
+    """The cores this process may run on: its CPU affinity where the
+    platform reports one, else the host's count (1 when that is unknown)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _check_matrix_rows(n: int) -> None:
     """Raise ``TooLargeError`` when n rows need an n x n float64 distance
     matrix over ``_MAX_MATRIX_BYTES``."""
@@ -178,7 +192,9 @@ def _label_index(path, label_column, header) -> int:
     raise GinicovError(f"{path}: label column {label_column!r} not found in header")
 
 
-def load_csv(path, label_column, has_header: bool = True) -> LabeledDataset:
+def load_csv(
+    path, label_column, has_header: bool = True, workers: int = 1
+) -> LabeledDataset:
     """Read a comma-separated file into a LabeledDataset.
 
     ``label_column`` selects the label column by header name (requires a
@@ -204,31 +220,49 @@ def load_csv(path, label_column, has_header: bool = True) -> LabeledDataset:
     read or decoded, or that holds a malformed CSV record, raises
     ``GinicovError`` naming the file (and, for a malformed record, its
     line).
+
+    ``workers`` caps the processes that share the one pass: a file of more
+    than ``_SPLIT_BYTES`` that holds no ``"`` is cut into up to ``workers``
+    byte ranges (no more than the usable cores, each at least
+    ``_SPLIT_BYTES``), each parsed by its own forked process; the result
+    does not depend on the count.  Raises ``ValueError`` when ``workers`` is
+    below 1.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     try:
-        ds = _load_table(path, label_column, has_header)
-    except (ValueError, csv.Error, OSError, GinicovError):
+        ds = _load_table(path, label_column, has_header, workers)
+    except (ValueError, csv.Error, OSError, EOFError, GinicovError):
         ds = None
     return _load_rows(path, label_column, has_header) if ds is None else ds
 
 
-def _load_table(path, label_column, has_header: bool):
+def _load_table(path, label_column, has_header: bool, workers: int = 1):
     """The dataset as numpy's C tokenizer reads the whole file, or None.
 
-    Returns None, or raises ``ValueError``, ``csv.Error``, ``OSError`` or
-    ``GinicovError``, wherever the row loop must decide; it never returns
-    data that the row loop would not.
+    Returns None, or raises ``ValueError``, ``csv.Error``, ``OSError``,
+    ``EOFError`` or ``GinicovError``, wherever the row loop must decide; it
+    never returns data that the row loop would not.
+
+    The data from the first data line on are read in byte ranges (see
+    ``_cuts``): this process reads the first, and each other range is read
+    by one forked child, which opens its own handle (a forked child shares
+    the offset of every inherited one) and sends its part back over a pipe.
+    Any part that fails makes the whole read fail.  Every child is joined
+    before this returns or raises.
     """
-    labels = []
-
-    def keep(cell):
-        labels.append(cell)
-        return 0.0
-
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        header = next(csv.reader(fh), None) if has_header else None
+        taken = []  # the lines up to the first data line, to find its offset
+
+        def taking():
+            for line in fh:
+                taken.append(line)
+                yield line
+
+        head = taking()
+        header = next(csv.reader(head), None) if has_header else None
         label_idx = _label_index(path, label_column, header)
-        first = next(filter(lambda line: line.strip("\r\n"), fh), None)
+        first = next(filter(lambda line: line.strip("\r\n"), head), None)
         if first is None:
             return None
         width = len(next(csv.reader([first])))
@@ -238,38 +272,179 @@ def _load_table(path, label_column, has_header: bool):
             or (header is not None and len(header) != width)
         ):
             return None
-        field_limit = csv.field_size_limit()
-
-        def lines():
-            # only a line over csv's field limit can hold a field csv refuses:
-            # a quoted one, or a segment between commas over the limit (its
-            # line end counted); the row past the budget is refused before
-            # numpy converts it
-            rows = 0
-            for line in itertools.chain([first], fh):
-                if (
-                    len(line) > field_limit
-                    and ('"' in line or _long_segment(line, field_limit))
-                ) or any(c in line for c in _SEPARATORS):
-                    raise ValueError("a line for the row loop")
-                if line.strip("\r\n"):
-                    rows += 1
-                    _check_matrix_rows(rows)
-                    _check_feature_matrix(rows, width - 1)
-                yield line
-
-        data = np.delete(
-            np.loadtxt(
-                lines(), delimiter=",", quotechar='"', comments=None, ndmin=2,
-                converters={label_idx: keep},
-            ),
-            label_idx,
-            axis=1,
+        ranges = min(
+            workers, _usable_cores(), os.fstat(fh.fileno()).st_size // _SPLIT_BYTES
         )
-    if data.shape[1] != width - 1:
-        return None
+        ctx = _fork_context() if ranges > 1 else None
+        # None when a quoted field might run across a cut
+        cuts = (_cuts(path, "".join(taken[:-1]), ranges) if ctx else None) or []
+        children = []
+        try:
+            for j, (begin, newlines, ends) in enumerate(cuts):
+                stop = cuts[j + 1][1] - newlines if j + 1 < len(cuts) else None
+                recv, send = ctx.Pipe(duplex=False)
+                child = ctx.Process(
+                    target=_send_part,
+                    args=(send, path, begin, ends, stop, width, label_idx),
+                )
+                child.start()
+                send.close()
+                children.append((child, recv))
+            parts = [
+                _read_part(
+                    itertools.chain([first], fh), 0, cuts[0][1] if cuts else None,
+                    width, label_idx,
+                )
+            ]
+            for child, recv in children:
+                with recv:
+                    part = recv.recv()
+                if part is None:
+                    return None
+                parts.append(part)
+        finally:
+            for child, recv in children:
+                if not recv.closed:  # its part was never taken
+                    child.kill()
+                    recv.close()
+                child.join()
+    data = np.concatenate([part[0] for part in parts]) if children else parts[0][0]
     # raises on fewer than 2 rows and on a non-finite value
-    return LabeledDataset(data, tuple(labels))
+    labels = tuple(itertools.chain.from_iterable(part[1] for part in parts))
+    return LabeledDataset(data, labels)
+
+
+def _fork_context():
+    """multiprocessing's fork context, or None where a forked child cannot
+    safely read a range: the platform has no fork, or this process runs
+    another thread, which could hold a lock that would stay locked in the
+    child."""
+    import multiprocessing
+    import threading
+
+    if (
+        "fork" not in multiprocessing.get_all_start_methods()
+        or threading.active_count() > 1
+    ):
+        return None
+    return multiprocessing.get_context("fork")
+
+
+def _cuts(path, before: str, ranges: int):
+    """Where the data of ``path`` are cut into up to ``ranges`` byte ranges,
+    or None when the data hold a ``"``.
+
+    The data begin after the BOM and ``before`` (the text ahead of the first
+    data line).  One chunked binary scan reads them whole.  Cut j is just
+    after the first ``b"\n"`` at or past j equal shares of the data; a cut
+    at the end of the file is dropped.  Each cut is (offset, newlines,
+    ends): its byte offset, the ``b"\n"`` bytes between the data's start and
+    it, and the ``b"\n"`` plus ``b"\r"`` bytes there.  Each line ends in one
+    or two of these, so ``ends`` is at least the count of data rows before
+    the cut.
+    """
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        bom = len(codecs.BOM_UTF8) if fh.read(3) == codecs.BOM_UTF8 else 0
+        start = bom + len(before.encode())
+        targets = [start + (size - start) * j // ranges for j in range(1, ranges)]
+        fh.seek(start)
+        cuts = []
+        offset, newlines, ends = start, 0, 0
+        while chunk := fh.read(_SPLIT_BYTES):
+            if b'"' in chunk:
+                return None
+            at = 0
+            while targets:
+                at = chunk.find(b"\n", max(targets[0] - offset, at))
+                if at < 0:
+                    break
+                at += 1
+                targets.pop(0)
+                lf, lf_cr = _line_ends(chunk, at)
+                cuts.append((offset + at, newlines + lf, ends + lf_cr))
+            if targets:
+                lf, lf_cr = _line_ends(chunk, len(chunk))
+                newlines += lf
+                ends += lf_cr
+            offset += len(chunk)
+    return [cut for cut in cuts if cut[0] < size]
+
+
+def _line_ends(chunk: bytes, end: int) -> tuple:
+    """The ``b"\n"`` bytes of ``chunk[:end]``, and those plus its ``b"\r"``
+    bytes (the second count is skipped where the chunk holds none)."""
+    lf = chunk.count(b"\n", 0, end)
+    return lf, lf + (chunk.count(b"\r", 0, end) if b"\r" in chunk else 0)
+
+
+def _send_part(conn, path, begin: int, rows: int, newlines, width, label_idx):
+    """A forked child's range: read from byte ``begin`` through its own
+    handle, sent on ``conn`` as (data, labels), or None where the row loop
+    must decide."""
+    try:
+        with open(path, "rb") as raw:
+            raw.seek(begin)
+            lines = io.TextIOWrapper(raw, encoding="utf-8", newline="")
+            part = _read_part(lines, rows, newlines, width, label_idx)
+    except (ValueError, OSError, GinicovError):
+        part = None
+    conn.send(part)
+    conn.close()
+
+
+def _read_part(lines, rows: int, newlines, width: int, label_idx: int):
+    """One range through ``np.loadtxt``: its data without the label column,
+    and its labels.
+
+    Reads ``lines`` through the ``newlines``-th line that ends in ``"\n"``,
+    or to their end when that is None.  ``rows`` is at least the count of
+    data rows before the range, so the budgets refuse a row no later than
+    one read of the whole file would.  Raises ``ValueError`` at a line for
+    the row loop and at a range of another width than ``width``.
+    """
+    labels = []
+    field_limit = csv.field_size_limit()
+
+    def keep(cell):
+        labels.append(cell)
+        return 0.0
+
+    def checked():
+        # only a line over csv's field limit can hold a field csv refuses:
+        # a quoted one, or a segment between commas over the limit (its
+        # line end counted); the row past the budget is refused before
+        # numpy converts it
+        nonlocal rows, newlines
+        for line in lines:
+            if (
+                len(line) > field_limit
+                and ('"' in line or _long_segment(line, field_limit))
+            ) or any(c in line for c in _SEPARATORS):
+                raise ValueError("a line for the row loop")
+            if line.strip("\r\n"):
+                rows += 1
+                _check_matrix_rows(rows)
+                _check_feature_matrix(rows, width - 1)
+            yield line
+            if newlines is not None and line.endswith("\n"):
+                newlines -= 1
+                if not newlines:
+                    return
+
+    # leading blank lines hold no row and no quote; numpy warns on a range
+    # with no row
+    rest = checked()
+    head = next(filter(lambda line: line.strip("\r\n"), rest), None)
+    if head is None:
+        return np.empty((0, width - 1)), labels
+    data = np.loadtxt(
+        itertools.chain([head], rest), delimiter=",", quotechar='"',
+        comments=None, ndmin=2, converters={label_idx: keep},
+    )
+    if data.shape[1] != width:
+        raise ValueError("a range of another width")
+    return np.delete(data, label_idx, axis=1), labels
 
 
 def _long_segment(line: str, limit: int) -> bool:

@@ -50,7 +50,7 @@ import os
 
 import numpy as np
 
-from .core import LabeledDataset, _check_matrix_rows
+from .core import LabeledDataset, _check_matrix_rows, _usable_cores
 from .errors import TooSmallError
 
 # Above this many coordinates, accumulate squared differences with numpy's
@@ -88,7 +88,7 @@ def pairwise_distances(ds, threads: int = 1) -> np.ndarray:
 
     d = np.zeros((n, n), dtype=np.float64)
     # interleaved rows balance the triangle: thread w takes rows w, w + step, ...
-    step = min(threads, n - 1, os.cpu_count() or 1)
+    step = min(threads, n - 1, _usable_cores())
     if step <= 1:
         _tile_rows(x, d, 0, 1)
     else:

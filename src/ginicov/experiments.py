@@ -14,13 +14,17 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .core import _check_feature_matrix, _check_matrix_rows, group_index
+from .core import (
+    _check_feature_matrix,
+    _check_matrix_rows,
+    _usable_cores,
+    group_index,
+)
 from .distmat import _before_fork, pairwise_distances
 from .errors import DegenerateSampleError, TooFewClassesError
 from .ktest import (
@@ -99,7 +103,9 @@ class StudyConfig:
 
 @dataclass(frozen=True)
 class PowerRow:
-    """Empirical rejection rate of one method at one scenario setting."""
+    """Empirical rejection rate of one method at one scenario setting.
+    ``degenerate`` counts the replicates whose test was degenerate (see
+    ``TestResult``), each a non-rejection; it stays out of the power files."""
 
     example: int
     p: int
@@ -109,6 +115,7 @@ class PowerRow:
     alpha: float
     replicates: int
     rejection_rate: float
+    degenerate: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,7 +172,7 @@ def max_gap_to_normal(z_samples) -> float:
 def _resolve_workers(threads: int) -> int:
     if threads < 0:
         raise ValueError(f"threads must be >= 0, got {threads}")
-    return threads if threads > 0 else (os.cpu_count() or 1)
+    return threads if threads > 0 else _usable_cores()
 
 
 def _run_tasks(worker, payloads, threads: int):
@@ -228,7 +235,7 @@ def _power_replicate(payload) -> tuple:
     if set(methods) - {METHOD_GINI_NORMAL}:
         perm_seed = derive_seed(scenario.seed, replicate, _PERM_SALT)
         results.update(_perm_test_from_distance(d, gi, permutations, alpha, perm_seed))
-    return tuple(results[method].reject for method in methods)
+    return tuple((results[m].reject, results[m].degenerate) for m in methods)
 
 
 def size_power_study(cfg: StudyConfig, beta_grid, threads: int = 0) -> list:
@@ -258,7 +265,8 @@ def size_power_study(cfg: StudyConfig, beta_grid, threads: int = 0) -> list:
     for i, beta in enumerate(betas):
         batch = outcomes[i * cfg.replicates : (i + 1) * cfg.replicates]
         for j, method in enumerate(cfg.methods):
-            count = sum(bool(outcome[j]) for outcome in batch)
+            rejects = sum(bool(outcome[j][0]) for outcome in batch)
+            degenerate = sum(bool(outcome[j][1]) for outcome in batch)
             rows.append(
                 PowerRow(
                     example=cfg.scenario.example,
@@ -268,7 +276,8 @@ def size_power_study(cfg: StudyConfig, beta_grid, threads: int = 0) -> list:
                     method=method,
                     alpha=cfg.alpha,
                     replicates=cfg.replicates,
-                    rejection_rate=count / cfg.replicates,
+                    rejection_rate=rejects / cfg.replicates,
+                    degenerate=degenerate,
                 )
             )
     return rows
@@ -277,7 +286,8 @@ def size_power_study(cfg: StudyConfig, beta_grid, threads: int = 0) -> list:
 def _power_records(rows) -> list:
     """One record per study row, keyed by the columns of ``POWER_CSV_HEADER``;
     elapsed_ms is None, so identical runs give byte-identical files."""
-    return [{**asdict(row), "elapsed_ms": None} for row in rows]
+    columns = POWER_CSV_HEADER.split(",")
+    return [{k: asdict(row).get(k) for k in columns} for row in rows]
 
 
 def write_power_csv(rows, path) -> None:

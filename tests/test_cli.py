@@ -253,7 +253,8 @@ class TestCmdTest:
     def test_wide_data_is_byte_identical_for_any_thread_count(
         self, tmp_path, capsys, monkeypatch, method
     ):
-        # p = 1100 takes the threaded tiles; three cores make 0 mean 3
+        # p = 1100 takes the threaded tiles; three cores make 0 mean 3, and
+        # 16 KB ranges let the 500 KB file be read in up to three
         rng = np.random.default_rng(21)
         f = tmp_path / "wide.csv"
         ginicov.write_csv(
@@ -261,22 +262,30 @@ class TestCmdTest:
                                    tuple(i % 3 for i in range(24))),
             f,
         )
-        monkeypatch.setattr(ginicov.cli.os, "cpu_count", lambda: 3)
-        used = []
+        monkeypatch.setattr(ginicov.experiments, "_usable_cores", lambda: 3)
+        monkeypatch.setattr(ginicov.core, "_usable_cores", lambda: 3)
+        monkeypatch.setattr(ginicov.core, "_SPLIT_BYTES", 1 << 14)
+        used, loads = [], []
         original = ginicov.ktest.pairwise_distances
+        load = ginicov.cli.load_csv
 
         def recording(ds, threads=1):
             used.append(threads)
             return original(ds, threads)
 
+        def recording_load(*args, workers=1):
+            loads.append(workers)
+            return load(*args, workers=workers)
+
         monkeypatch.setattr(ginicov.ktest, "pairwise_distances", recording)
+        monkeypatch.setattr(ginicov.cli, "load_csv", recording_load)
         args = ["test", "--input", str(f), "--label-col", "label",
                 "--method", method, "--permutations", "99", "--threads"]
         outs = []
         for threads in ("1", "2", "0"):
             assert main(args + [threads]) == 0
             outs.append(capsys.readouterr().out)
-        assert used == [1, 2, 3]
+        assert used == loads == [1, 2, 3]
         assert outs[0] == outs[1] == outs[2]
         assert json.loads(outs[0])["p"] == 1100
 
@@ -304,6 +313,29 @@ class TestCmdSimulate:
         assert provenance["config"]["seed"] == 7
         assert provenance["versions"] == VERSIONS
         assert_blas_provenance(provenance)
+
+    def test_degenerate_replicates_reported_on_stderr(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        out, mirror = tmp_path / "p.csv", tmp_path / "p.json"
+        args = [
+            "simulate", "--example", "2", "--p", "4", "--sizes", "4,4,4",
+            "--beta-grid", "0,1", "--reps", "5", "--threads", "1",
+            "--methods", "gini-normal,gini-perm", "--permutations", "9",
+            "--out", str(out), "--json-out", str(mirror),
+        ]
+        assert main(args) == 0
+        assert "were degenerate" not in capsys.readouterr().err
+        clean = out.read_bytes(), mirror.read_bytes()
+        degenerate_first_replicate(monkeypatch)
+        assert main(args) == 0
+        err = capsys.readouterr().err.strip().split("\n")
+        assert err[2:] == [
+            "gini-normal at beta 0: 1 of 5 replicates were degenerate "
+            "(no rejection)"
+        ]
+        # the counts stay out of the power files
+        assert (out.read_bytes(), mirror.read_bytes()) == clean
 
     def test_byte_identical_reruns(self, tmp_path):
         args = [

@@ -1,5 +1,11 @@
 import csv
+import io
+import multiprocessing
+import os
+import threading
+import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -390,6 +396,270 @@ class TestLoadCsvTokenizer:
         ds = ginicov.core._load_table(f, "y", True)
         assert ds.labels == ("a,b", "b")
         assert ds.data.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
+# Labels for the split files below, one of them multi-byte UTF-8
+_LABELS = ["a", "b", "x y", "\u00e9", "\u30e9\u30d9\u30eb"]
+
+
+@st.composite
+def split_files(draw):
+    """A CSV file of up to 30 rows, as bytes, with its label column and
+    whether it has a header: odd cells and ragged rows now and then, blank
+    lines anywhere, each line with its own ending, an optional byte-order
+    mark, and rarely a quoted label that runs over lines."""
+    width = draw(st.sampled_from([2, 3, 4]))
+    rows = [
+        [draw(st.sampled_from(_LABELS))]
+        + [draw(st.sampled_from(_PLAIN)) for _ in range(width - 1)]
+        for _ in range(draw(st.integers(0, 30)))
+    ]
+    unquoted = [cell for cell in _ODD if '"' not in cell]
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(1, width - 1))] = draw(st.sampled_from(unquoted))
+    if rows and draw(st.sampled_from([False] * 5 + [True])):  # a ragged row
+        draw(st.sampled_from(rows)).append("1")
+    if rows and draw(st.sampled_from([False] * 5 + [True])):
+        draw(st.sampled_from(rows))[0] = '"q\n\nr"'
+    lines = [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 6))):  # blank lines
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    has_header = draw(st.booleans())
+    if has_header:
+        lines.insert(0, ",".join(["y"] + [f"x{j}" for j in range(width - 1)]))
+    text = "".join(line + draw(st.sampled_from(["\n", "\r\n", "\r"])) for line in lines)
+    if text and draw(st.booleans()):  # no line end after the last line
+        text = text.rstrip("\r\n")
+    bom = draw(st.sampled_from([b"", b"\xef\xbb\xbf"]))
+    label_column = draw(st.sampled_from(["y", 0, -width][not has_header:]))
+    return bom + text.encode("utf-8"), label_column, has_header
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The forked children that ``load_csv`` starts, as they start."""
+    started = []
+    start = multiprocessing.context.ForkProcess.start
+
+    def recording(self):
+        started.append(self)
+        start(self)
+
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", recording)
+    return started
+
+
+def _split_small(monkeypatch, split_bytes=64, cores=4):
+    """Split files of a few lines, on up to ``cores`` whatever the host's."""
+    monkeypatch.setattr(ginicov.core, "_SPLIT_BYTES", split_bytes)
+    monkeypatch.setattr(ginicov.core, "_usable_cores", lambda: cores)
+
+
+def _tall(path, rows, last=None):
+    """A header and ``rows`` two-feature rows, then the line ``last``."""
+    body = "".join(f"{'ab'[i % 2]},{i},{-i}\n" for i in range(rows))
+    path.write_text("y,x1,x2\n" + body + ("" if last is None else last + "\n"))
+
+
+class TestLoadCsvSplit:
+    """Forked children parse byte ranges of a quote-free file; the parts
+    stack to the one pass's data, and any failure goes to the row loop."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        case=split_files(),
+        workers=st.integers(1, 4),
+        split_bytes=st.integers(4, 48),
+    )
+    def test_equals_the_one_pass_and_the_row_loop(
+        self, tmp_path_factory, case, workers, split_bytes
+    ):
+        content, label_column, has_header = case
+        f = tmp_path_factory.getbasetemp() / "split.csv"
+        f.write_bytes(content)
+        with mock.patch.object(ginicov.core, "_SPLIT_BYTES", split_bytes), \
+                mock.patch.object(ginicov.core, "_usable_cores", lambda: 4):
+            split = outcome(
+                lambda *args: load_csv(*args, workers=workers),
+                f, label_column, has_header,
+            )
+            assert split == outcome(load_csv, f, label_column, has_header)
+        assert split == outcome(ginicov.core._load_rows, f, label_column, has_header)
+        assert not multiprocessing.active_children()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        case=split_files(),
+        ranges=st.integers(2, 4),
+        split_bytes=st.integers(4, 48),
+    )
+    def test_cuts_follow_a_newline_and_bound_the_rows_before(
+        self, tmp_path_factory, case, ranges, split_bytes
+    ):
+        content, _, _ = case
+        f = tmp_path_factory.getbasetemp() / "cuts.csv"
+        f.write_bytes(content)
+        with mock.patch.object(ginicov.core, "_SPLIT_BYTES", split_bytes):
+            cuts = ginicov.core._cuts(f, "", ranges)
+        start = 3 if content.startswith(b"\xef\xbb\xbf") else 0
+        if b'"' in content[start:]:
+            assert cuts is None
+            return
+        assert len(cuts) < ranges
+        offsets = [start] + [offset for offset, _, _ in cuts]
+        assert offsets == sorted(set(offsets))
+        for offset, newlines, ends in cuts:
+            assert content[offset - 1:offset] == b"\n" and offset < len(content)
+            data = content[start:offset]
+            assert newlines == data.count(b"\n")
+            lines = io.StringIO(data.decode("utf-8"), newline="")
+            assert ends >= sum(1 for line in lines if line.strip("\r\n"))
+
+    def test_a_large_file_is_cut_into_ranges_for_the_workers(
+        self, tmp_path, monkeypatch, forks
+    ):
+        _split_small(monkeypatch)
+        f = tmp_path / "d.csv"
+        _tall(f, 60)
+        expected = ginicov.core._load_rows(f, "y", True)
+        monkeypatch.setattr(ginicov.core, "_load_rows", None)  # the parts decide
+        for workers, children in [(1, 0), (2, 1), (3, 2), (8, 3)]:
+            ds = load_csv(f, "y", workers=workers)
+            assert len(forks) == children
+            forks.clear()
+            assert np.array_equal(ds.data, expected.data)
+            assert ds.labels == expected.labels
+        assert not multiprocessing.active_children()
+
+    def test_a_range_of_blank_lines_is_an_empty_part(
+        self, tmp_path, monkeypatch, forks
+    ):
+        # the middle range holds only blank lines; numpy would warn on it
+        _split_small(monkeypatch)
+        f = tmp_path / "d.csv"
+        rows = [f"{'ab'[i % 2]},{i}" for i in range(40)]
+        f.write_text("y,x\n" + "\n".join(rows[:20]) + "\n" * 600
+                     + "\n".join(rows[20:]) + "\n")
+        expected = ginicov.core._load_rows(f, "y", True)
+        monkeypatch.setattr(ginicov.core, "_load_rows", None)
+        ds = load_csv(f, "y", workers=3)
+        assert len(forks) == 2
+        assert ds.labels == expected.labels
+        assert np.array_equal(ds.data, expected.data)
+
+    def test_ranges_are_capped_by_the_cores_and_the_size(
+        self, tmp_path, monkeypatch, forks
+    ):
+        f = tmp_path / "d.csv"
+        _tall(f, 60)  # 527 bytes: each range holds at least the split size
+        for split_bytes, cores, children in [(64, 2, 1), (263, 4, 1), (264, 4, 0)]:
+            _split_small(monkeypatch, split_bytes, cores)
+            load_csv(f, "y", workers=4)
+            assert len(forks) == children
+            forks.clear()
+
+    def test_a_quoted_file_is_never_split(self, tmp_path, monkeypatch, forks):
+        _split_small(monkeypatch)
+        f = tmp_path / "d.csv"
+        _tall(f, 60, last='"a",60,-60')
+        assert ginicov.core._cuts(f, "y,x1,x2\n", 4) is None
+        assert load_csv(f, "y", workers=4).labels[-1] == "a"
+        assert forks == []
+
+    def test_a_bad_cell_in_the_last_range_is_the_row_loops_error(
+        self, tmp_path, monkeypatch, forks
+    ):
+        _split_small(monkeypatch)
+        f = tmp_path / "d.csv"
+        _tall(f, 60, last="b,oops,1")
+        with pytest.raises(ParseError, match="row 60, column 1: 'oops'") as exc:
+            load_csv(f, "y", workers=3)
+        assert (exc.value.row, exc.value.col) == (60, 1)
+        assert len(forks) == 2
+        assert not multiprocessing.active_children()
+
+    def test_a_child_that_dies_leaves_the_file_to_the_row_loop(
+        self, tmp_path, monkeypatch, forks
+    ):
+        _split_small(monkeypatch)
+        monkeypatch.setattr(ginicov.core, "_send_part", lambda *args: os._exit(3))
+        f = tmp_path / "d.csv"
+        _tall(f, 60)
+        ds = load_csv(f, "y", workers=2)
+        assert ds.data.shape == (60, 2) and ds.labels[-1] == "b"
+        assert [child.exitcode for child in forks] == [3]
+        assert not multiprocessing.active_children()
+
+    def test_a_failed_first_range_stops_every_child(
+        self, tmp_path, monkeypatch, forks
+    ):
+        _split_small(monkeypatch)
+        monkeypatch.setattr(ginicov.core, "_send_part", lambda *args: time.sleep(60))
+        f = tmp_path / "d.csv"
+        f.write_text("y,x1,x2\na,oops,0\n" + "".join(
+            f"{'ab'[i % 2]},{i},{-i}\n" for i in range(60)
+        ))
+        started = time.perf_counter()
+        with pytest.raises(ParseError, match="row 0, column 1: 'oops'"):
+            load_csv(f, "y", workers=3)
+        assert time.perf_counter() - started < 30
+        assert len(forks) == 2
+        assert not multiprocessing.active_children()
+        assert not any(child.is_alive() for child in forks)
+
+    @pytest.mark.parametrize("budget, message", [(40, "^41 rows need"), (80, None)])
+    def test_the_row_budget_holds_across_ranges(
+        self, tmp_path, monkeypatch, forks, budget, message
+    ):
+        # each range counts from an upper bound on the rows before it
+        _split_small(monkeypatch)
+        monkeypatch.setattr(ginicov.core, "_MAX_MATRIX_BYTES", 8 * budget * budget)
+        f = tmp_path / "d.csv"
+        _tall(f, 41)
+        if message is None:
+            assert load_csv(f, "y", workers=3).n == 41
+        else:
+            with pytest.raises(TooLargeError, match=message):
+                load_csv(f, "y", workers=3)
+        _tall(f, 40)
+        assert ginicov.core._load_table(f, "y", True, 3).n == 40
+        assert len(forks) == 4
+
+    def test_no_split_beside_another_thread(self, tmp_path, monkeypatch, forks):
+        _split_small(monkeypatch)
+        f = tmp_path / "d.csv"
+        _tall(f, 60)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(30,))
+        other.start()
+        try:
+            assert load_csv(f, "y", workers=2).n == 60
+        finally:
+            release.set()
+            other.join(30)
+        assert not other.is_alive()
+        assert forks == []
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_fewer_than_one_worker_is_refused(self, tmp_path, workers):
+        f = tmp_path / "d.csv"
+        _tall(f, 3)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            load_csv(f, "y", workers=workers)
+
+
+class TestUsableCores:
+    def test_the_affinity_where_the_platform_reports_one(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert ginicov.core._usable_cores() == 2
+
+    @pytest.mark.parametrize("count, cores", [(8, 8), (None, 1)])
+    def test_the_hosts_count_elsewhere(self, monkeypatch, count, cores):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert ginicov.core._usable_cores() == cores
 
 
 class TestLabeledDataset:

@@ -1,5 +1,4 @@
 import concurrent.futures
-import os
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
@@ -175,7 +174,7 @@ class TestThreadedDistances:
     def test_bits_do_not_depend_on_the_thread_count(self, n, p, threads, seed):
         x = np.random.default_rng(seed).standard_normal((n, p))
         # four cores, so the cap leaves the 3- and 4-way splits on any host
-        with mock.patch.object(os, "cpu_count", return_value=4):
+        with mock.patch.object(distmat, "_usable_cores", return_value=4):
             assert np.array_equal(pairwise_distances(x, threads),
                                   pairwise_distances(x, 1))
 
@@ -192,7 +191,7 @@ class TestThreadedDistances:
             (2, 1025, 4, 8, None),  # one row to fill
             (3, 1025, 4, 8, 2),  # capped by n - 1
             (30, 1025, 4, 2, 2),  # capped by the cores
-            (30, 1025, 4, None, None),  # an unknown core count counts as 1
+            (30, 1025, 4, 1, None),  # one usable core
             (30, 1025, 3, 8, 3),
             (30, 1024, 4, 8, None),  # pdist's branch
         ],
@@ -212,7 +211,7 @@ class TestThreadedDistances:
                 return super().submit(fn, *args)
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
-        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        monkeypatch.setattr(distmat, "_usable_cores", lambda: cores)
         pairwise_distances(np.zeros((n, p)), threads)
         assert pools == ([] if workers is None else [workers])
         assert len(submitted) == (workers or 0)
@@ -223,7 +222,7 @@ class TestThreadedDistances:
     ):
         n = 300
         x = np.random.default_rng(9).standard_normal((n, 2000))
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(distmat, "_usable_cores", lambda: 2)
         tracemalloc.start()
         try:
             pairwise_distances(x, threads)

@@ -199,7 +199,7 @@ def _blas_after_a_product(seed):
 
 
 class TestRunTasks:
-    CORES = os.cpu_count() or 1
+    CORES = ginicov.core._usable_cores()
 
     @pytest.mark.skipif(
         distmat._openblas_threads() is None
@@ -438,6 +438,23 @@ class TestEmission:
         assert len(lines) == 3
         assert lines[1].startswith('2,5,"4,4,4",0.0,gini-normal,0.05,5,')
         assert f1.read_bytes() == f2.read_bytes()
+
+    def test_degenerate_replicates_are_counted_per_method(self, monkeypatch):
+        original = ginicov.experiments._normal_test_from_distance
+        calls = []
+
+        def second_degenerate(d, gi, alpha):
+            calls.append(None)
+            res = original(d, gi, alpha)
+            return replace(res, z=None, degenerate=True) if len(calls) == 2 else res
+
+        monkeypatch.setattr(
+            ginicov.experiments, "_normal_test_from_distance", second_degenerate
+        )
+        rows = self._rows()
+        assert [row.degenerate for row in rows] == [1, 0]
+        # the count is no column of the power files
+        assert "degenerate" not in _power_records(rows)[0]
 
     def test_one_record_per_row_keyed_by_the_header(self):
         records = _power_records(self._rows())
