@@ -244,12 +244,10 @@ def _load_table(path, label_column, has_header: bool, workers: int = 1):
     ``EOFError`` or ``GinicovError``, wherever the row loop must decide; it
     never returns data that the row loop would not.
 
-    The data from the first data line on are read in byte ranges (see
-    ``_cuts``): this process reads the first, and each other range is read
-    by one forked child, which opens its own handle (a forked child shares
-    the offset of every inherited one) and sends its part back over a pipe.
-    Any part that fails makes the whole read fail.  Every child is joined
-    before this returns or raises.
+    The data from the first data line on are read in the byte ranges of
+    ``_cuts``, each by one ``_read_part`` through its own handle, shared
+    among up to ``workers`` processes by ``_fork_map``.  Any range that
+    fails makes the whole read fail.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         taken = []  # the lines up to the first data line, to find its offset
@@ -275,40 +273,9 @@ def _load_table(path, label_column, has_header: bool, workers: int = 1):
         ranges = min(
             workers, _usable_cores(), os.fstat(fh.fileno()).st_size // _SPLIT_BYTES
         )
-        ctx = _fork_context() if ranges > 1 else None
-        # None when a quoted field might run across a cut
-        cuts = (_cuts(path, "".join(taken[:-1]), ranges) if ctx else None) or []
-        children = []
-        try:
-            for j, (begin, newlines, ends) in enumerate(cuts):
-                stop = cuts[j + 1][1] - newlines if j + 1 < len(cuts) else None
-                recv, send = ctx.Pipe(duplex=False)
-                child = ctx.Process(
-                    target=_send_part,
-                    args=(send, path, begin, ends, stop, width, label_idx),
-                )
-                child.start()
-                send.close()
-                children.append((child, recv))
-            parts = [
-                _read_part(
-                    itertools.chain([first], fh), 0, cuts[0][1] if cuts else None,
-                    width, label_idx,
-                )
-            ]
-            for child, recv in children:
-                with recv:
-                    part = recv.recv()
-                if part is None:
-                    return None
-                parts.append(part)
-        finally:
-            for child, recv in children:
-                if not recv.closed:  # its part was never taken
-                    child.kill()
-                    recv.close()
-                child.join()
-    data = np.concatenate([part[0] for part in parts]) if children else parts[0][0]
+    cuts = _cuts(path, "".join(taken[:-1]), ranges)
+    parts = _fork_map(lambda cut: _read_part(path, width, label_idx, cut), cuts, ranges)
+    data = np.concatenate([part[0] for part in parts]) if parts[1:] else parts[0][0]
     # raises on fewer than 2 rows and on a non-finite value
     labels = tuple(itertools.chain.from_iterable(part[1] for part in parts))
     return LabeledDataset(data, labels)
@@ -316,9 +283,8 @@ def _load_table(path, label_column, has_header: bool, workers: int = 1):
 
 def _fork_context():
     """multiprocessing's fork context, or None where a forked child cannot
-    safely read a range: the platform has no fork, or this process runs
-    another thread, which could hold a lock that would stay locked in the
-    child."""
+    safely run: the platform has no fork, or this process runs another
+    thread, which could hold a lock that would stay locked in the child."""
     import multiprocessing
     import threading
 
@@ -330,30 +296,73 @@ def _fork_context():
     return multiprocessing.get_context("fork")
 
 
-def _cuts(path, before: str, ranges: int):
-    """Where the data of ``path`` are cut into up to ``ranges`` byte ranges,
-    or None when the data hold a ``"``.
+def _fork_map(fn, payloads, workers: int) -> list:
+    """``[fn(p) for p in payloads]`` on up to ``workers`` processes: forked
+    child w runs ``payloads[w::workers]`` and sends its results over a pipe,
+    this process runs ``payloads[::workers]``.  The first failure (a share's
+    exception, or ``EOFError`` for a child that died) is raised once every
+    child whose share was not taken is killed and every child is joined.
+    In-process where ``_fork_context`` gives no fork."""
+    workers = min(workers, len(payloads))
+    ctx = _fork_context() if workers > 1 else None
+    if ctx is None:
+        return [fn(p) for p in payloads]
+    children = []
+    try:
+        for w in range(1, workers):
+            recv, send = ctx.Pipe(duplex=False)
+            child = ctx.Process(
+                target=_send_share, args=(send, fn, payloads[w::workers])
+            )
+            child.start()
+            send.close()
+            children.append((child, recv))
+        shares = [[fn(p) for p in payloads[::workers]]]
+        for child, recv in children:
+            with recv:
+                share = recv.recv()
+            if isinstance(share, BaseException):
+                raise share
+            shares.append(share)
+    finally:
+        for child, recv in children:
+            if not recv.closed:  # its share was never taken
+                child.kill()
+                recv.close()
+            child.join()
+    return [shares[i % workers][i // workers] for i in range(len(payloads))]
 
-    The data begin after the BOM and ``before`` (the text ahead of the first
-    data line).  One chunked binary scan reads them whole.  Cut j is just
-    after the first ``b"\n"`` at or past j equal shares of the data; a cut
-    at the end of the file is dropped.  Each cut is (offset, newlines,
-    ends): its byte offset, the ``b"\n"`` bytes between the data's start and
-    it, and the ``b"\n"`` plus ``b"\r"`` bytes there.  Each line ends in one
-    or two of these, so ``ends`` is at least the count of data rows before
-    the cut.
-    """
+
+def _send_share(conn, fn, share) -> None:
+    """A forked child's share: ``fn`` over ``share`` as a list, or the
+    exception that stopped it, sent on ``conn``."""
+    try:
+        conn.send([fn(p) for p in share])
+    except Exception as exc:
+        conn.send(exc)
+
+
+def _cuts(path, before: str, ranges: int) -> list:
+    """The byte ranges that the data of ``path`` are read in: up to
+    ``ranges``, one when the data hold a ``"``.  The data begin after the
+    BOM and ``before`` (the text ahead of the first data line); for more
+    than one range one chunked binary scan reads them whole.  Range j > 0
+    begins just after the first ``b"\n"`` at or past j equal shares of the
+    data; no range begins at the end of the file.  Each range is (offset, rows,
+    newlines): its first byte, the ``b"\n"`` plus ``b"\r"`` bytes ahead of
+    it (each line ends in one or two, so at least its data rows before), and
+    the ``b"\n"`` bytes in it (None for the last range)."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         bom = len(codecs.BOM_UTF8) if fh.read(3) == codecs.BOM_UTF8 else 0
         start = bom + len(before.encode())
         targets = [start + (size - start) * j // ranges for j in range(1, ranges)]
         fh.seek(start)
-        cuts = []
+        cuts = [(start, 0, 0)]  # (offset, b"\n" before, b"\n" + b"\r" before)
         offset, newlines, ends = start, 0, 0
-        while chunk := fh.read(_SPLIT_BYTES):
+        while ranges > 1 and (chunk := fh.read(_SPLIT_BYTES)):
             if b'"' in chunk:
-                return None
+                return [(start, 0, None)]
             at = 0
             while targets:
                 at = chunk.find(b"\n", max(targets[0] - offset, at))
@@ -368,7 +377,9 @@ def _cuts(path, before: str, ranges: int):
                 newlines += lf
                 ends += lf_cr
             offset += len(chunk)
-    return [cut for cut in cuts if cut[0] < size]
+    cuts = [cut for cut in cuts if cut[0] < size]
+    stops = [b[1] - a[1] for a, b in zip(cuts, cuts[1:])] + [None]
+    return [(offset, ends, stop) for (offset, _, ends), stop in zip(cuts, stops)]
 
 
 def _line_ends(chunk: bytes, end: int) -> tuple:
@@ -378,31 +389,19 @@ def _line_ends(chunk: bytes, end: int) -> tuple:
     return lf, lf + (chunk.count(b"\r", 0, end) if b"\r" in chunk else 0)
 
 
-def _send_part(conn, path, begin: int, rows: int, newlines, width, label_idx):
-    """A forked child's range: read from byte ``begin`` through its own
-    handle, sent on ``conn`` as (data, labels), or None where the row loop
-    must decide."""
-    try:
-        with open(path, "rb") as raw:
-            raw.seek(begin)
-            lines = io.TextIOWrapper(raw, encoding="utf-8", newline="")
-            part = _read_part(lines, rows, newlines, width, label_idx)
-    except (ValueError, OSError, GinicovError):
-        part = None
-    conn.send(part)
-    conn.close()
+def _read_part(path, width: int, label_idx: int, cut):
+    """One range of ``_cuts`` through ``np.loadtxt``: its data without the
+    label column, and its labels.
 
-
-def _read_part(lines, rows: int, newlines, width: int, label_idx: int):
-    """One range through ``np.loadtxt``: its data without the label column,
-    and its labels.
-
-    Reads ``lines`` through the ``newlines``-th line that ends in ``"\n"``,
-    or to their end when that is None.  ``rows`` is at least the count of
-    data rows before the range, so the budgets refuse a row no later than
-    one read of the whole file would.  Raises ``ValueError`` at a line for
-    the row loop and at a range of another width than ``width``.
+    Reads ``cut`` = (offset, rows, newlines) through its own handle (a forked
+    child shares the offset of every inherited one) from byte ``offset``
+    through the ``newlines``-th line that ends in ``"\n"``, or to the end
+    when that is None.  ``rows`` is at least the count of data rows before,
+    so the budgets refuse a row no later than one read of the whole file
+    would.  Raises ``ValueError`` at a line for the row loop and at a range
+    of another width than ``width``.
     """
+    offset, rows, newlines = cut
     labels = []
     field_limit = csv.field_size_limit()
 
@@ -410,7 +409,7 @@ def _read_part(lines, rows: int, newlines, width: int, label_idx: int):
         labels.append(cell)
         return 0.0
 
-    def checked():
+    def checked(lines):
         # only a line over csv's field limit can hold a field csv refuses:
         # a quoted one, or a segment between commas over the limit (its
         # line end counted); the row past the budget is refused before
@@ -432,16 +431,19 @@ def _read_part(lines, rows: int, newlines, width: int, label_idx: int):
                 if not newlines:
                     return
 
-    # leading blank lines hold no row and no quote; numpy warns on a range
-    # with no row
-    rest = checked()
-    head = next(filter(lambda line: line.strip("\r\n"), rest), None)
-    if head is None:
-        return np.empty((0, width - 1)), labels
-    data = np.loadtxt(
-        itertools.chain([head], rest), delimiter=",", quotechar='"',
-        comments=None, ndmin=2, converters={label_idx: keep},
-    )
+    with open(path, "rb") as raw:
+        raw.seek(offset)
+        with io.TextIOWrapper(raw, encoding="utf-8", newline="") as lines:
+            # leading blank lines hold no row and no quote; numpy warns on a
+            # range with no row
+            rest = checked(lines)
+            head = next(filter(lambda line: line.strip("\r\n"), rest), None)
+            if head is None:
+                return np.empty((0, width - 1)), labels
+            data = np.loadtxt(
+                itertools.chain([head], rest), delimiter=",", quotechar='"',
+                comments=None, ndmin=2, converters={label_idx: keep},
+            )
     if data.shape[1] != width:
         raise ValueError("a range of another width")
     return np.delete(data, label_idx, axis=1), labels

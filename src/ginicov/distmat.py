@@ -20,19 +20,19 @@ Each thread has its own tile buffer and writes only the entries of its own
 rows, each still numpy's pairwise sum over one contiguous p-vector, so the
 matrix is bit-identical for every thread count.  The pdist branch runs on
 the calling thread.  Study workers use the default of one thread, so a
-process pool is never oversubscribed; ``ginicov test --threads`` sets the
-count for a single test.
+study never runs more threads than workers; ``ginicov test --threads``
+sets the count for a single test.
 
 A block of relabellings gets its class pair sums from one BLAS product with a
 one-hot label matrix.  That product runs on exactly one OpenBLAS thread,
 whether the caller is a study worker or a single ``ginicov test``: more
-threads oversubscribe a worker pool, and on two cores they made a lone
+threads oversubscribe the study workers, and on two cores they made a lone
 product far less steady.  ``_pin_blas`` sets the thread count of numpy's
 bundled OpenBLAS to 1 through ``ctypes`` when it reads anything else, and
 never restores it.  It runs before every product.  Where the library is not
 found, the product runs on the BLAS's own thread setting.
 
-The study driver calls ``_before_fork`` just before its process pool forks.
+The study driver calls ``_before_fork`` just before it forks its workers.
 It pins the count and imports scipy's distance module in the parent, so
 every worker inherits both.  OpenBLAS stops its own thread pool at every
 fork, and a worker whose first setter call changes the count restarts that

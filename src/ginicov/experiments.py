@@ -1,10 +1,11 @@
 """Monte Carlo studies: null normality of the standardized statistic and
 size/power tables.
 
-Each study is one task pass: one ``_run_tasks`` call (at most one process
-pool) maps every replicate.  Beta i of a size/power grid generates from
-``derive_seed(root, i)``, so any subset of a study can be recomputed in
-isolation and results do not depend on worker count or scheduling.
+Each study is one task pass: one ``_run_tasks`` call maps every replicate,
+shared between this process and forked children (``core._fork_map``).
+Beta i of a size/power grid generates from ``derive_seed(root, i)``, so any
+subset of a study can be recomputed in isolation and results do not depend
+on worker count or scheduling.
 Aggregation is pure counting (and ordered collection of z values), never an
 order-sensitive float reduction.
 """
@@ -14,7 +15,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -22,6 +22,7 @@ import numpy as np
 from .core import (
     _check_feature_matrix,
     _check_matrix_rows,
+    _fork_map,
     _usable_cores,
     group_index,
 )
@@ -176,17 +177,13 @@ def _resolve_workers(threads: int) -> int:
 
 
 def _run_tasks(worker, payloads, threads: int):
-    """Map worker over payloads, in order, on at most one worker per
-    payload; 1 worker stays in-process."""
+    """Map worker over payloads, in order, on at most one process per
+    payload (``core._fork_map``); 1 worker stays in-process."""
     workers = min(_resolve_workers(threads), len(payloads))
-    if workers <= 1:
-        return [worker(p) for p in payloads]
-    chunk = max(1, len(payloads) // (workers * 8))
-    # workers inherit the one-thread count, so they never restart OpenBLAS's
-    # pool, and scipy's distance module, so none imports it again
-    _before_fork()
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, payloads, chunksize=chunk))
+    if workers > 1:
+        # the workers inherit the pinned BLAS count and scipy's distance module
+        _before_fork()
+    return _fork_map(worker, payloads, workers)
 
 
 def _normality_z(payload) -> float | None:

@@ -47,7 +47,7 @@ def test_all_lists_every_public_name_init_binds():
     assert set(ginicov.__all__) == public
 
 
-# each removed function, with the module that defined it
+# each removed name, with the module that bound it
 REMOVED = {
     "gini_cov": ginicov.estimators,
     "gini_cor": ginicov.estimators,
@@ -58,6 +58,8 @@ REMOVED = {
     "group_gmd_inputs": ginicov.distmat,
     "normal_quantile": ginicov.ktest,
     "normal_cdf": ginicov.ktest,
+    "_send_part": ginicov.core,
+    "ProcessPoolExecutor": ginicov.experiments,
 }
 
 
@@ -158,14 +160,12 @@ def test_readme_library_example_runs():
     exec(compile(block, "README.md:Library", "exec"), {})
 
 
-@pytest.mark.parametrize("module", ["ginicov", "ginicov.cli"])
-def test_import_loads_no_heavy_scipy_subpackage(module):
-    # scipy.spatial (and the scipy.sparse and scipy.special it pulls in) is
-    # imported on the first pdist call, not with the package
-    heavy = ("scipy.spatial", "scipy.sparse", "scipy.special")
+def modules_after_import(module, prefixes) -> str:
+    """The printed sorted list of modules under ``prefixes`` that a fresh
+    interpreter holds after importing ``module``."""
     script = (
         f"import sys, {module}\n"
-        f"print(sorted(m for m in sys.modules if m.startswith({heavy!r})))\n"
+        f"print(sorted(m for m in sys.modules if m.startswith({prefixes!r})))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script],
@@ -174,4 +174,19 @@ def test_import_loads_no_heavy_scipy_subpackage(module):
         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    return proc.stdout
+
+
+@pytest.mark.parametrize("module", ["ginicov", "ginicov.cli"])
+def test_import_loads_no_heavy_scipy_subpackage(module):
+    # scipy.spatial (and the scipy.sparse and scipy.special it pulls in) is
+    # imported on the first pdist call, not with the package
+    heavy = ("scipy.spatial", "scipy.sparse", "scipy.special")
+    assert modules_after_import(module, heavy) == "[]\n"
+
+
+@pytest.mark.parametrize("module", ["ginicov", "ginicov.cli"])
+def test_import_loads_no_process_machinery(module):
+    # multiprocessing is imported when a study or a CSV read first forks
+    processes = ("concurrent.futures.process", "multiprocessing")
+    assert modules_after_import(module, processes) == "[]\n"

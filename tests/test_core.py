@@ -2,6 +2,7 @@ import csv
 import io
 import multiprocessing
 import os
+import signal
 import threading
 import time
 import tracemalloc
@@ -436,20 +437,6 @@ def split_files(draw):
     return bom + text.encode("utf-8"), label_column, has_header
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """The forked children that ``load_csv`` starts, as they start."""
-    started = []
-    start = multiprocessing.context.ForkProcess.start
-
-    def recording(self):
-        started.append(self)
-        start(self)
-
-    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", recording)
-    return started
-
-
 def _split_small(monkeypatch, split_bytes=64, cores=4):
     """Split files of a few lines, on up to ``cores`` whatever the host's."""
     monkeypatch.setattr(ginicov.core, "_SPLIT_BYTES", split_bytes)
@@ -504,17 +491,25 @@ class TestLoadCsvSplit:
             cuts = ginicov.core._cuts(f, "", ranges)
         start = 3 if content.startswith(b"\xef\xbb\xbf") else 0
         if b'"' in content[start:]:
-            assert cuts is None
+            assert cuts == [(start, 0, None)]
             return
-        assert len(cuts) < ranges
-        offsets = [start] + [offset for offset, _, _ in cuts]
+        if start == len(content):  # no data, so no range
+            assert cuts == []
+            return
+        assert len(cuts) <= ranges
+        assert cuts[0][:2] == (start, 0)
+        offsets = [offset for offset, _, _ in cuts]
         assert offsets == sorted(set(offsets))
-        for offset, newlines, ends in cuts:
+        for offset, rows, _ in cuts[1:]:
             assert content[offset - 1:offset] == b"\n" and offset < len(content)
             data = content[start:offset]
-            assert newlines == data.count(b"\n")
             lines = io.StringIO(data.decode("utf-8"), newline="")
-            assert ends >= sum(1 for line in lines if line.strip("\r\n"))
+            assert rows >= sum(1 for line in lines if line.strip("\r\n"))
+        # each range but the last stops after its count of b"\n"
+        ends = offsets[1:] + [None]
+        for (offset, _, newlines), end in zip(cuts, ends):
+            lf = None if end is None else content[offset:end].count(b"\n")
+            assert newlines == lf
 
     def test_a_large_file_is_cut_into_ranges_for_the_workers(
         self, tmp_path, monkeypatch, forks
@@ -563,7 +558,7 @@ class TestLoadCsvSplit:
         _split_small(monkeypatch)
         f = tmp_path / "d.csv"
         _tall(f, 60, last='"a",60,-60')
-        assert ginicov.core._cuts(f, "y,x1,x2\n", 4) is None
+        assert ginicov.core._cuts(f, "y,x1,x2\n", 4) == [(8, 0, None)]
         assert load_csv(f, "y", workers=4).labels[-1] == "a"
         assert forks == []
 
@@ -583,7 +578,7 @@ class TestLoadCsvSplit:
         self, tmp_path, monkeypatch, forks
     ):
         _split_small(monkeypatch)
-        monkeypatch.setattr(ginicov.core, "_send_part", lambda *args: os._exit(3))
+        monkeypatch.setattr(ginicov.core, "_send_share", lambda *args: os._exit(3))
         f = tmp_path / "d.csv"
         _tall(f, 60)
         ds = load_csv(f, "y", workers=2)
@@ -595,7 +590,7 @@ class TestLoadCsvSplit:
         self, tmp_path, monkeypatch, forks
     ):
         _split_small(monkeypatch)
-        monkeypatch.setattr(ginicov.core, "_send_part", lambda *args: time.sleep(60))
+        monkeypatch.setattr(ginicov.core, "_send_share", lambda *args: time.sleep(60))
         f = tmp_path / "d.csv"
         f.write_text("y,x1,x2\na,oops,0\n" + "".join(
             f"{'ab'[i % 2]},{i},{-i}\n" for i in range(60)
@@ -647,6 +642,91 @@ class TestLoadCsvSplit:
         _tall(f, 3)
         with pytest.raises(ValueError, match="workers must be >= 1"):
             load_csv(f, "y", workers=workers)
+
+
+def _payload_and_pid(payload):
+    return payload, os.getpid()
+
+
+class TestForkMap:
+    """Child w runs payloads[w::workers], this process runs the rest, and
+    the results come back in payload order; any failure is raised here
+    once every child is stopped."""
+
+    @pytest.fixture(autouse=True)
+    def no_child_is_left(self):
+        yield
+        assert not multiprocessing.active_children()
+
+    def test_results_come_back_in_payload_order(self, forks):
+        out = ginicov.core._fork_map(_payload_and_pid, list(range(7)), 3)
+        assert [payload for payload, _ in out] == list(range(7))
+        pids = [pid for _, pid in out]
+        assert pids[0::3] == [os.getpid()] * 3
+        assert pids[1::3] == [forks[0].pid] * 2
+        assert pids[2::3] == [forks[1].pid] * 2
+
+    @pytest.mark.parametrize(
+        "tasks, workers",
+        [(7, 3), (2, 8), (3, 3), (5, 1), (1, 4), (0, 3), (4, 0)],
+    )
+    def test_one_child_per_share_but_the_first(self, forks, tasks, workers):
+        payloads = list(range(-tasks, 0))
+        out = ginicov.core._fork_map(abs, payloads, workers)
+        assert out == [abs(p) for p in payloads]
+        assert len(forks) == max(min(workers, tasks) - 1, 0)
+
+    def test_a_childs_exception_is_raised_here(self, forks):
+        def checked(payload):
+            if payload == 4:
+                raise ValueError(f"payload {payload} refused")
+            return payload
+
+        with pytest.raises(ValueError, match="^payload 4 refused$"):
+            ginicov.core._fork_map(checked, list(range(7)), 3)
+        assert len(forks) == 2
+
+    def test_a_child_that_dies_raises_here(self, forks):
+        def dying(payload):
+            if payload == 2:
+                os._exit(3)
+            return payload
+
+        with pytest.raises(EOFError):
+            ginicov.core._fork_map(dying, list(range(7)), 3)
+        assert [child.exitcode for child in forks] == [0, 3]
+
+    def test_a_result_that_cannot_be_sent_raises_here(self, forks):
+        with pytest.raises(TypeError, match="cannot pickle"):
+            ginicov.core._fork_map(lambda _: threading.Lock(), [1, 2], 2)
+        assert [child.exitcode for child in forks] == [0]
+
+    def test_a_failure_here_stops_every_child(self, forks):
+        parent = os.getpid()
+
+        def work(payload):
+            if os.getpid() == parent:
+                raise ValueError("the first share failed")
+            time.sleep(60)
+
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match="the first share failed"):
+            ginicov.core._fork_map(work, list(range(3)), 3)
+        assert time.perf_counter() - started < 30
+        assert [child.exitcode for child in forks] == [-signal.SIGKILL] * 2
+
+    def test_nothing_forks_beside_another_thread(self, forks):
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(30,))
+        other.start()
+        try:
+            out = ginicov.core._fork_map(_payload_and_pid, list(range(5)), 3)
+        finally:
+            release.set()
+            other.join(30)
+        assert not other.is_alive()
+        assert out == [(payload, os.getpid()) for payload in range(5)]
+        assert forks == []
 
 
 class TestUsableCores:

@@ -165,30 +165,6 @@ class TestNormalityStudy:
         assert a.max_density_gap == b.max_density_gap
 
 
-class RecordingExecutor:
-    """Stand-in for ProcessPoolExecutor: records its worker count and maps
-    in-process, so no process is started.  It runs the chunks last first, as
-    a pool's workers may finish them, and returns the results in order, as a
-    pool does."""
-
-    max_workers = []
-
-    def __init__(self, max_workers):
-        RecordingExecutor.max_workers.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, iterable, chunksize=1):
-        items = list(iterable)
-        chunks = [items[i : i + chunksize] for i in range(0, len(items), chunksize)]
-        done = [[fn(x) for x in chunk] for chunk in reversed(chunks)]
-        return [r for chunk in reversed(done) for r in chunk]
-
-
 def _blas_after_a_product(seed):
     """Worker: one class-pair-sum product on a small design, then the
     OpenBLAS thread count and the number of this process's threads."""
@@ -204,7 +180,7 @@ class TestRunTasks:
     @pytest.mark.skipif(
         distmat._openblas_threads() is None
         or not os.path.isdir("/proc/self/task")
-        or multiprocessing.get_start_method() != "fork",
+        or "fork" not in multiprocessing.get_all_start_methods(),
         reason="needs numpy's bundled OpenBLAS, /proc/self/task and forked workers",
     )
     def test_forked_workers_never_restart_the_blas_pool(self):
@@ -219,7 +195,7 @@ class TestRunTasks:
             set_(before)
 
     @pytest.mark.skipif(
-        multiprocessing.get_start_method() != "fork",
+        "fork" not in multiprocessing.get_all_start_methods(),
         reason="needs forked workers",
     )
     def test_forked_workers_inherit_scipys_distance_module(self):
@@ -248,24 +224,22 @@ class TestRunTasks:
         assert proc.stdout == "[True, True]\n"
 
     @pytest.mark.parametrize(
-        "tasks, threads, pools",
+        "tasks, threads, children",
         [
-            (2, 64, [2]),
-            (9, 3, [3]),
-            (3, 0, [min(3, CORES)] if CORES > 1 else []),
-            (1, 8, []),
-            (2, 1, []),
-            (0, 4, []),
+            (2, 64, 1),
+            (9, 3, 2),
+            (3, 0, min(3, CORES) - 1),
+            (1, 8, 0),
+            (2, 1, 0),
+            (0, 4, 0),
         ],
     )
-    def test_never_more_workers_than_tasks(self, monkeypatch, tasks, threads, pools):
-        monkeypatch.setattr(RecordingExecutor, "max_workers", [])
-        monkeypatch.setattr(
-            ginicov.experiments, "ProcessPoolExecutor", RecordingExecutor
-        )
+    def test_never_more_workers_than_tasks(self, forks, tasks, threads, children):
+        # this process runs one share, so w workers fork w - 1 children
         payloads = list(range(-tasks, 0))
         assert _run_tasks(abs, payloads, threads) == [abs(p) for p in payloads]
-        assert RecordingExecutor.max_workers == pools
+        assert len(forks) == children
+        assert not multiprocessing.active_children()
 
 
 class TestSizePowerStudy:
@@ -356,11 +330,8 @@ class TestSizePowerStudy:
             permutations=permutations,
         )
         serial = size_power_study(cfg, betas, threads=1)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(RecordingExecutor, "max_workers", [])
-            mp.setattr(ginicov.experiments, "ProcessPoolExecutor", RecordingExecutor)
-            for threads in (2, 3, 5):
-                assert size_power_study(cfg, betas, threads=threads) == serial
+        for threads in (2, 3, 5):
+            assert size_power_study(cfg, betas, threads=threads) == serial
 
     def test_shared_permutation_pass_matches_single_methods(self):
         # gini-perm and dcov-perm share one set of replicate streams; each
