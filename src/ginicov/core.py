@@ -12,7 +12,6 @@ import codecs
 import csv
 import io
 import itertools
-import math
 import os
 from dataclasses import dataclass
 
@@ -156,28 +155,6 @@ def _check_feature_matrix(n: int, p: int) -> None:
         )
 
 
-def _cell_error(path, i: int, row: list, label_idx: int) -> ParseError:
-    """The error for the first feature cell of ``row`` that is not a finite
-    real; ``row`` must hold one."""
-    for j, cell in enumerate(row):
-        if j == label_idx:
-            continue
-        try:
-            v = float(cell)
-        except ValueError:
-            return ParseError(
-                f"{path}: row {i}, column {j}: {cell!r} is not a number",
-                row=i,
-                col=j,
-            )
-        if not math.isfinite(v):
-            return ParseError(
-                f"{path}: row {i}, column {j}: {cell!r} is not finite",
-                row=i,
-                col=j,
-            )
-
-
 def _label_index(path, label_column, header) -> int:
     """The label column's index as given (negative counts from the end),
     resolved against ``header`` when it is given by name."""
@@ -210,8 +187,9 @@ def load_csv(
     ``"`` or a comma-separated segment over that limit, a line holding one
     of ``_SEPARATORS``, or a row past the budget below -- is read again from
     the start by the row loop (``_load_rows``), which defines the format: it
-    returns that file's data or raises its error.  The row loop checks and
-    converts each row as it is read, so the first bad row ends the read.
+    returns that file's data or raises its error.  The row loop converts and
+    checks each row as it is read, so the first bad row ends the read; its
+    error names the row's first bad cell.
     The row past the distance-matrix budget (the 11586th, see
     ``_check_matrix_rows``), or the first row whose features would take the
     feature matrix past the same 1 GiB budget (``_check_feature_matrix``),
@@ -264,11 +242,9 @@ def _load_table(path, label_column, has_header: bool, workers: int = 1):
         if first is None:
             return None
         width = len(next(csv.reader([first])))
-        if (
-            width < 2
-            or not (-width <= label_idx < width)
-            or (header is not None and len(header) != width)
-        ):
+        # numpy refuses a label column out of range, and LabeledDataset a
+        # file with no feature column; nothing after this sees the header
+        if header is not None and len(header) != width:
             return None
         ranges = min(
             workers, _usable_cores(), os.fstat(fh.fileno()).st_size // _SPLIT_BYTES
@@ -464,8 +440,9 @@ def _long_segment(line: str, limit: int) -> bool:
 
 
 def _load_rows(path, label_column, has_header: bool) -> LabeledDataset:
-    """Read the file one row at a time; each row is checked and converted as
-    it is read (see ``load_csv``)."""
+    """Read the file one row at a time; each row's feature cells are parsed
+    once by ``float`` and checked finite as the row is read, and the first
+    cell that fails raises its ``ParseError`` (see ``load_csv``)."""
     if not os.path.exists(path):
         raise FileNotFoundError(f"no such file: {path}")
     labels, values = [], []
@@ -500,15 +477,23 @@ def _load_rows(path, label_column, has_header: bool) -> LabeledDataset:
                         f"{path}: row {i} has {len(row)} fields, expected {width}"
                     )
                 labels.append(row[label_idx])
-                # one parse per row; a row that fails is scanned cell by cell
-                # so the error names its first bad cell
+                # one float() per cell: list.extend keeps the values parsed
+                # before the first cell that float() refuses
                 cells = row[:label_idx] + row[label_idx + 1:]
+                x = []
                 try:
-                    x = np.array(list(map(float, cells)))
+                    x.extend(map(float, cells))
                 except ValueError:
-                    raise _cell_error(path, i, row, label_idx) from None
-                if not np.isfinite(x).all():
-                    raise _cell_error(path, i, row, label_idx)
+                    pass
+                x = np.array(x)
+                bad = np.flatnonzero(~np.isfinite(x))
+                k = int(bad[0]) if bad.size else x.size  # the first bad cell
+                if k < len(cells):
+                    j = k + (k >= label_idx)  # its column in the row
+                    why = "is not finite" if bad.size else "is not a number"
+                    raise ParseError(
+                        f"{path}: row {i}, column {j}: {row[j]!r} {why}", row=i, col=j
+                    )
                 values.append(x)
     except (UnicodeDecodeError, csv.Error, OSError) as exc:
         if isinstance(exc, UnicodeDecodeError):

@@ -6,9 +6,13 @@ class GinicovError(Exception):
 
 
 class ParseError(GinicovError):
-    """A feature cell could not be parsed as a finite real number."""
+    """A feature cell could not be parsed as a finite real number.
 
-    def __init__(self, message: str, row: int, col: int):
+    ``row`` and ``col`` have defaults because unpickling calls the class
+    with the message alone and then restores them: a forked child's error
+    reaches its parent pickled."""
+
+    def __init__(self, message: str, row: int | None = None, col: int | None = None):
         super().__init__(message)
         self.row = row
         self.col = col

@@ -1,8 +1,10 @@
 """Monte Carlo studies: null normality of the standardized statistic and
 size/power tables.
 
-Each study is one task pass: one ``_run_tasks`` call maps every replicate,
-shared between this process and forked children (``core._fork_map``).
+Each study is one task pass: one ``_run_tasks`` call maps one replicate
+function, ``_replicate`` bound to the study's config, over every task
+(scenario, replicate), shared between this process and forked children
+(``core._fork_map``); both studies read their counts from its results.
 Beta i of a size/power grid generates from ``derive_seed(root, i)``, so any
 subset of a study can be recomputed in isolation and results do not depend
 on worker count or scheduling.
@@ -16,6 +18,7 @@ import csv
 import json
 import math
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -186,12 +189,23 @@ def _run_tasks(worker, payloads, threads: int):
     return _fork_map(worker, payloads, workers)
 
 
-def _normality_z(payload) -> float | None:
-    scenario, replicate = payload
+def _replicate(cfg: StudyConfig, task) -> tuple:
+    """The ``TestResult`` of each of ``cfg.methods``, in order, on the
+    replicate ``task`` = (scenario, r) generates; every method tests the
+    same distance matrix."""
+    scenario, replicate = task
     ds = scenario_dataset(scenario, replicate)
-    return _normal_test_from_distance(
-        pairwise_distances(ds), group_index(ds), 0.05
-    ).z
+    gi = group_index(ds)
+    d = pairwise_distances(ds)
+    results = {}
+    if METHOD_GINI_NORMAL in cfg.methods:
+        results[METHOD_GINI_NORMAL] = _normal_test_from_distance(d, gi, cfg.alpha)
+    if set(cfg.methods) - {METHOD_GINI_NORMAL}:
+        perm_seed = derive_seed(scenario.seed, replicate, _PERM_SALT)
+        results.update(
+            _perm_test_from_distance(d, gi, cfg.permutations, cfg.alpha, perm_seed)
+        )
+    return tuple(results[m] for m in cfg.methods)
 
 
 def _check_kde_replicates(replicates: int) -> None:
@@ -208,9 +222,14 @@ def normality_study(cfg: StudyConfig, threads: int = 0) -> NormalityRow:
     scenario = replace(cfg.scenario, seed=cfg.root_seed)
     if scenario.example != 1:
         raise ValueError("the normality study uses the null design (example 1)")
+    if cfg.methods != (METHOD_GINI_NORMAL,):
+        raise ValueError(
+            f"the normality study runs {METHOD_GINI_NORMAL} alone, "
+            f"got {', '.join(cfg.methods)}"
+        )
     _check_kde_replicates(cfg.replicates)
     payloads = [(scenario, r) for r in range(cfg.replicates)]
-    zs = _run_tasks(_normality_z, payloads, threads)
+    zs = [res.z for (res,) in _run_tasks(partial(_replicate, cfg), payloads, threads)]
     z = np.asarray([0.0 if v is None else v for v in zs])
     return NormalityRow(
         p=scenario.p,
@@ -219,20 +238,6 @@ def normality_study(cfg: StudyConfig, threads: int = 0) -> NormalityRow:
         z_samples=z,
         degenerate=zs.count(None),
     )
-
-
-def _power_replicate(payload) -> tuple:
-    scenario, replicate, methods, alpha, permutations = payload
-    ds = scenario_dataset(scenario, replicate)
-    gi = group_index(ds)
-    d = pairwise_distances(ds)
-    results = {}
-    if METHOD_GINI_NORMAL in methods:
-        results[METHOD_GINI_NORMAL] = _normal_test_from_distance(d, gi, alpha)
-    if set(methods) - {METHOD_GINI_NORMAL}:
-        perm_seed = derive_seed(scenario.seed, replicate, _PERM_SALT)
-        results.update(_perm_test_from_distance(d, gi, permutations, alpha, perm_seed))
-    return tuple((results[m].reject, results[m].degenerate) for m in methods)
 
 
 def size_power_study(cfg: StudyConfig, beta_grid, threads: int = 0) -> list:
@@ -252,18 +257,14 @@ def size_power_study(cfg: StudyConfig, beta_grid, threads: int = 0) -> list:
         replace(cfg.scenario, beta=beta, seed=derive_seed(cfg.root_seed, i))
         for i, beta in enumerate(betas)
     ]
-    payloads = [
-        (scenario, r, cfg.methods, cfg.alpha, cfg.permutations)
-        for scenario in scenarios
-        for r in range(cfg.replicates)
-    ]
-    outcomes = _run_tasks(_power_replicate, payloads, threads)
+    payloads = [(scenario, r) for scenario in scenarios for r in range(cfg.replicates)]
+    outcomes = _run_tasks(partial(_replicate, cfg), payloads, threads)
     rows = []
     for i, beta in enumerate(betas):
         batch = outcomes[i * cfg.replicates : (i + 1) * cfg.replicates]
         for j, method in enumerate(cfg.methods):
-            rejects = sum(bool(outcome[j][0]) for outcome in batch)
-            degenerate = sum(bool(outcome[j][1]) for outcome in batch)
+            rejects = sum(results[j].reject for results in batch)
+            degenerate = sum(results[j].degenerate for results in batch)
             rows.append(
                 PowerRow(
                     example=cfg.scenario.example,

@@ -1,7 +1,8 @@
 """The public surface: ``ginicov.__all__`` against what ``__init__`` binds,
 names that were removed stay removed, no module imports a name it never
-uses (save what perfbench's tracer rebinds), importing the package loads
-no heavy scipy subpackage, and the README's library example runs."""
+uses (save what perfbench's tracer rebinds), every module-level function is
+referenced in the package, importing the package loads no heavy scipy
+subpackage, and the README's library example runs."""
 
 import ast
 import dataclasses
@@ -59,7 +60,10 @@ REMOVED = {
     "normal_quantile": ginicov.ktest,
     "normal_cdf": ginicov.ktest,
     "_send_part": ginicov.core,
+    "_cell_error": ginicov.core,
     "ProcessPoolExecutor": ginicov.experiments,
+    "_normality_z": ginicov.experiments,
+    "_power_replicate": ginicov.experiments,
 }
 
 
@@ -98,6 +102,17 @@ def imports(path: Path) -> list:
     return out
 
 
+def listed_in_all(tree) -> set:
+    """The names in the module's ``__all__``, if it binds one."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            names.update(ast.literal_eval(node.value))
+    return names
+
+
 def unused_imports(path: Path) -> list:
     """Imported names never read in the module (nor listed in its
     ``__all__``), skipping ``__future__`` imports and statements marked
@@ -105,11 +120,7 @@ def unused_imports(path: Path) -> list:
     tree = ast.parse(path.read_text())
     imported = {name: line for name, line, excused in imports(path) if not excused}
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            used.update(ast.literal_eval(node.value))
+    used.update(listed_in_all(tree))
     return sorted(
         f"{path.name}:{line}: {name}"
         for name, line in imported.items()
@@ -126,6 +137,51 @@ def test_the_unused_import_check_finds_one(tmp_path):
     f = tmp_path / "m.py"
     f.write_text("import os\nimport sys  # noqa: F401\nimport json\nprint(json)\n")
     assert unused_imports(f) == ["m.py:1: os"]
+
+
+def orphaned_functions(paths) -> list:
+    """Module-level functions of the modules at ``paths`` that none of them
+    references (as a name, an attribute or an imported name) or lists in
+    its ``__all__``."""
+    defined, referenced = [], set()
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        defined += [
+            (path.name, node.name)
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+        referenced.update(listed_in_all(tree))
+    return sorted(
+        f"{module}: {name}" for module, name in defined if name not in referenced
+    )
+
+
+def test_no_orphaned_functions():
+    # a helper whose last caller went is deleted with it
+    assert orphaned_functions(MODULES) == []
+
+
+def test_the_orphan_check_finds_one(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "__all__ = ['api']\n"
+        "def api():\n    return _called()\n"
+        "def _called():\n    pass\n"
+        "def _imported():\n    pass\n"
+        "def _by_attribute():\n    pass\n"
+        "def _orphan():\n    pass\n"
+    )
+    (tmp_path / "b.py").write_text(
+        "import a\nfrom a import _imported as f\nprint(a._by_attribute, f)\n"
+    )
+    assert orphaned_functions(sorted(tmp_path.glob("*.py"))) == ["a.py: _orphan"]
 
 
 def span_hook_targets() -> set:

@@ -2,6 +2,7 @@ import csv
 import io
 import multiprocessing
 import os
+import pickle
 import signal
 import threading
 import time
@@ -112,8 +113,8 @@ class TestLoadCsv:
 
 
 class TestLoadCsvRowParse:
-    """Each row is parsed in one call; a row that fails is rescanned cell by
-    cell, so errors and values match a per-cell parse."""
+    """The row loop parses each cell with ``float`` and checks it finite, so
+    the first bad cell of a row names its error."""
 
     def test_non_finite_before_unparseable_reports_first_cell(self, tmp_path):
         f = tmp_path / "d.csv"
@@ -137,6 +138,8 @@ class TestLoadCsvRowParse:
             (3, ["1,2,3,a", "z,4,5,b"], 0),
             (-1, ["1,2,3,a", "4,z,5,b"], 1),
             (-3, ["1,a,2,3", "4,b,5,z"], 3),
+            (3, ["1,2,3,a", "inf,4,5,b"], 0),
+            (-1, ["1,2,3,a", "4,-inf,z,b"], 1),
         ],
     )
     def test_columns_around_label(self, tmp_path, label_col, lines, bad_col):
@@ -686,6 +689,17 @@ class TestForkMap:
             ginicov.core._fork_map(checked, list(range(7)), 3)
         assert len(forks) == 2
 
+    def test_a_childs_parse_error_keeps_its_cell(self, forks):
+        def parsed(payload):
+            if payload == 1:
+                raise ParseError("d.csv: row 3, column 4: 'x' is not a number", 3, 4)
+            return payload
+
+        with pytest.raises(ParseError, match="^d.csv: row 3, column 4: 'x'") as exc:
+            ginicov.core._fork_map(parsed, [0, 1], 2)
+        assert (exc.value.row, exc.value.col) == (3, 4)
+        assert len(forks) == 1
+
     def test_a_child_that_dies_raises_here(self, forks):
         def dying(payload):
             if payload == 2:
@@ -727,6 +741,23 @@ class TestForkMap:
         assert not other.is_alive()
         assert out == [(payload, os.getpid()) for payload in range(5)]
         assert forks == []
+
+
+@pytest.mark.parametrize(
+    "error, attributes",
+    [
+        (ParseError("d.csv: row 3, column 4: 'x' is not a number", 3, 4),
+         {"row": 3, "col": 4}),
+        (TinyClassError("class 'a' has only 1 observation(s)", label="a"),
+         {"label": "a"}),
+    ],
+)
+def test_package_errors_survive_a_pickle_round_trip(error, attributes):
+    # a forked child's error reaches its parent pickled
+    back = pickle.loads(pickle.dumps(error))
+    assert type(back) is type(error)
+    assert str(back) == str(error)
+    assert {name: getattr(back, name) for name in attributes} == attributes
 
 
 class TestUsableCores:

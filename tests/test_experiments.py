@@ -154,6 +154,24 @@ class TestNormalityStudy:
         with pytest.raises(ValueError, match="at least 2 replicates"):
             normality_study(cfg, threads=1)
 
+    @pytest.mark.parametrize(
+        "methods", [("gini-perm",), ("gini-normal", "dcov-perm")]
+    )
+    def test_refuses_a_permutation_method_before_generating(
+        self, monkeypatch, methods
+    ):
+        def no_generation(*args):
+            raise AssertionError("a replicate was generated")
+
+        monkeypatch.setattr(ginicov.experiments, "scenario_dataset", no_generation)
+        cfg = StudyConfig(
+            scenario=ScenarioSpec(example=1, p=4, sizes=(6, 7), seed=8),
+            replicates=4,
+            methods=methods,
+        )
+        with pytest.raises(ValueError, match="runs gini-normal alone"):
+            normality_study(cfg, threads=1)
+
     def test_thread_count_invariant(self):
         cfg = StudyConfig(
             scenario=ScenarioSpec(example=1, p=3, sizes=(5, 6, 7), seed=4),
