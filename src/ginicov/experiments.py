@@ -181,8 +181,9 @@ def _resolve_workers(threads: int) -> int:
 
 def _run_tasks(worker, payloads, threads: int):
     """Map worker over payloads, in order, on at most one process per
-    payload (``core._fork_map``); 1 worker stays in-process."""
-    workers = min(_resolve_workers(threads), len(payloads))
+    payload and per usable core (``core._fork_map``); 1 worker stays
+    in-process."""
+    workers = min(_resolve_workers(threads), _usable_cores(), len(payloads))
     if workers > 1:
         # the workers inherit the pinned BLAS count and scipy's distance module
         _before_fork()

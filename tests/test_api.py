@@ -2,7 +2,8 @@
 names that were removed stay removed, no module imports a name it never
 uses (save what perfbench's tracer rebinds), every module-level function is
 referenced in the package, importing the package loads no heavy scipy
-subpackage, and the README's library example runs."""
+subpackage, generating data loads no ``scipy.signal``, and the README's
+library example runs."""
 
 import ast
 import dataclasses
@@ -216,11 +217,12 @@ def test_readme_library_example_runs():
     exec(compile(block, "README.md:Library", "exec"), {})
 
 
-def modules_after_import(module, prefixes) -> str:
+def modules_after_import(module, prefixes, then="") -> str:
     """The printed sorted list of modules under ``prefixes`` that a fresh
-    interpreter holds after importing ``module``."""
+    interpreter holds after importing ``module`` and running ``then``."""
     script = (
         f"import sys, {module}\n"
+        f"{then}\n"
         f"print(sorted(m for m in sys.modules if m.startswith({prefixes!r})))\n"
     )
     proc = subprocess.run(
@@ -246,3 +248,17 @@ def test_import_loads_no_process_machinery(module):
     # multiprocessing is imported when a study or a CSV read first forks
     processes = ("concurrent.futures.process", "multiprocessing")
     assert modules_after_import(module, processes) == "[]\n"
+
+
+def test_generation_and_a_study_load_no_scipy_signal():
+    # the AR(1) filter is numpy's own loop: importing scipy.signal for
+    # lfilter would cost every study worker about 1.15 s
+    run = (
+        "from ginicov import ScenarioSpec, StudyConfig, normality_study\n"
+        "from ginicov import scenario_dataset\n"
+        "for example in (3, 2, 1):\n"
+        "    spec = ScenarioSpec(example=example, p=9, sizes=(3, 3, 3), beta=0.5)\n"
+        "    scenario_dataset(spec)\n"
+        "normality_study(StudyConfig(scenario=spec, replicates=2), threads=1)\n"
+    )
+    assert modules_after_import("ginicov", ("scipy.signal",), run) == "[]\n"

@@ -193,8 +193,6 @@ def _blas_after_a_product(seed):
 
 
 class TestRunTasks:
-    CORES = ginicov.core._usable_cores()
-
     @pytest.mark.skipif(
         distmat._openblas_threads() is None
         or not os.path.isdir("/proc/self/task")
@@ -246,14 +244,20 @@ class TestRunTasks:
         [
             (2, 64, 1),
             (9, 3, 2),
-            (3, 0, min(3, CORES) - 1),
+            (3, 0, 2),
             (1, 8, 0),
             (2, 1, 0),
             (0, 4, 0),
+            (9, 64, 3),
+            (9, 0, 3),
         ],
     )
-    def test_never_more_workers_than_tasks(self, forks, tasks, threads, children):
-        # this process runs one share, so w workers fork w - 1 children
+    def test_never_more_workers_than_tasks(
+        self, forks, monkeypatch, tasks, threads, children
+    ):
+        # this process runs one share, so w workers fork w - 1 children;
+        # with 4 usable cores, at most 3
+        monkeypatch.setattr(ginicov.experiments, "_usable_cores", lambda: 4)
         payloads = list(range(-tasks, 0))
         assert _run_tasks(abs, payloads, threads) == [abs(p) for p in payloads]
         assert len(forks) == children

@@ -1,12 +1,16 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from ginicov import ScenarioSpec, scenario_dataset
+from ginicov import ScenarioSpec, scenario_dataset, simgen
 from ginicov.simgen import _ar1_filter
 from ginicov.streams import substream
+from test_core import traced_peak
 
 
 def ar1_cov(p, rho):
@@ -137,6 +141,42 @@ class TestCholAr1:
         z = rng.standard_normal((6, 40))
         direct = z @ chol_ar1(40, 0.7).T
         assert np.abs(_ar1_filter(z.copy(), 0.7) - direct).max() <= 1e-10
+
+
+class TestAr1FilterTiles:
+    """The tiled filter equals the column-by-column loop bit for bit at any
+    tile size, fills its input in place, and holds one tile beside it."""
+
+    # tiles of 1 row (tile 3), of 25 rows with a short last one of 15
+    # (tile 50), and of all 7 rows by 9 coordinates, the last one short
+    # (tile 64)
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        p=st.integers(1, 80),
+        rho=st.just(0.0) | st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+        tile=st.integers(2, 200),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=5, p=7, rho=0.7, tile=3, seed=1)
+    @example(n=40, p=80, rho=-0.5, tile=50, seed=2)
+    @example(n=7, p=80, rho=0.0, tile=64, seed=3)
+    def test_bits_equal_the_column_loop(self, n, p, rho, tile, seed):
+        e = np.random.default_rng(seed).standard_normal((n, p))
+        x = e.copy()
+        with mock.patch.object(simgen, "_TILE_ITEMS", tile):
+            assert _ar1_filter(x, rho) is x
+        assert np.array_equal(x, ar1_filter_copy(e, rho))
+
+    @pytest.mark.parametrize("n, p", [(50, 2000), (3000, 20)])
+    def test_traced_peak_is_one_tile(self, n, p):
+        # one tile of 4096 elements and one row of at most half a tile; the
+        # input is 15 to 25 tiles, so copying it whole fails
+        tile = 1 << 12
+        x = np.random.default_rng(5).standard_normal((n, p))
+        with mock.patch.object(simgen, "_TILE_ITEMS", tile):
+            _, peak = traced_peak(lambda: _ar1_filter(x, 0.7))
+        assert peak < 8 * (tile + min(n, tile // 2)) + 4096
 
 
 class TestScenarioSpec:
