@@ -81,6 +81,8 @@ def cmd_test(args) -> int:
         _check_permutations(args.permutations)
     threads = _resolve_workers(args.threads)
     ds = load_csv(args.input, args.label_col, not args.no_header, workers=threads)
+    # after the read, so a usage or data error stays one line on stderr
+    _provenance(args)
     if args.method == METHOD_GINI_NORMAL:
         res = gini_normal_test(ds, alpha=args.alpha, threads=threads)
     else:

@@ -184,12 +184,13 @@ def load_csv(
     does not accept as it stands -- a cell numpy cannot parse (``1_000``,
     say, which ``float`` reads), a non-finite value, a row of another width,
     fewer than 2 rows, a line longer than csv's field limit that holds a
-    ``"`` or a comma-separated segment over that limit, a line holding one
-    of ``_SEPARATORS``, or a row past the budget below -- is read again from
-    the start by the row loop (``_load_rows``), which defines the format: it
-    returns that file's data or raises its error.  The row loop converts and
-    checks each row as it is read, so the first bad row ends the read; its
-    error names the row's first bad cell.
+    ``"`` or a comma-separated segment over that limit, the lines that a
+    quoted field runs over when together they are that long, a line
+    holding one of ``_SEPARATORS``, or a row past the budget below -- is
+    read again from the start by the row loop (``_load_rows``), which
+    defines the format: it returns that file's data or raises its error.
+    The row loop converts and checks each row as it is read, so the first
+    bad row ends the read; its error names the row's first bad cell.
     The row past the distance-matrix budget (the 11586th, see
     ``_check_matrix_rows``), or the first row whose features would take the
     feature matrix past the same 1 GiB budget (``_check_feature_matrix``),
@@ -386,15 +387,20 @@ def _read_part(path, width: int, label_idx: int, cut):
         return 0.0
 
     def checked(lines):
-        # only a line over csv's field limit can hold a field csv refuses:
+        # only a record over csv's field limit can hold a field csv refuses:
         # a quoted one, or a segment between commas over the limit (its
-        # line end counted); the row past the budget is refused before
+        # line end counted); a record is one line, or the lines that a
+        # quoted field runs over; the row past the budget is refused before
         # numpy converts it
         nonlocal rows, newlines
+        quoted, record = False, 0
         for line in lines:
+            spans = quoted
+            record = record + len(line) if spans else len(line)
+            quoted = _ends_quoted(line, quoted)
             if (
-                len(line) > field_limit
-                and ('"' in line or _long_segment(line, field_limit))
+                record > field_limit
+                and (spans or '"' in line or _long_segment(line, field_limit))
             ) or any(c in line for c in _SEPARATORS):
                 raise ValueError("a line for the row loop")
             if line.strip("\r\n"):
@@ -423,6 +429,22 @@ def _read_part(path, width: int, label_idx: int, cut):
     if data.shape[1] != width:
         raise ValueError("a range of another width")
     return np.delete(data, label_idx, axis=1), labels
+
+
+def _ends_quoted(line: str, quoted: bool) -> bool:
+    """Whether csv's reader ends ``line`` inside a quoted field, given
+    whether it begins inside one: a ``"`` opens a field only as the field's
+    first character, and inside one a doubled ``"`` is a literal one."""
+    at = line.find('"')
+    while at >= 0:
+        if not quoted:
+            quoted = at == 0 or line[at - 1] == ","
+        elif line.startswith('"', at + 1):
+            at += 1
+        else:
+            quoted = False
+        at = line.find('"', at + 1)
+    return quoted
 
 
 def _long_segment(line: str, limit: int) -> bool:

@@ -10,6 +10,12 @@ subset of a study can be recomputed in isolation and results do not depend
 on worker count or scheduling.
 Aggregation is pure counting (and ordered collection of z values), never an
 order-sensitive float reduction.
+
+What a study sets up in its own process, before it maps any replicate, is
+never restored and is inherited by every forked worker: glibc's malloc
+thresholds raised (``distmat._keep_freed_memory``) on any worker count, and,
+when it forks, the one-thread BLAS count and scipy's distance module
+(``distmat._before_fork``).
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from .core import (
     _usable_cores,
     group_index,
 )
-from .distmat import _before_fork, pairwise_distances
+from .distmat import _before_fork, _keep_freed_memory, pairwise_distances
 from .errors import DegenerateSampleError, TooFewClassesError
 from .ktest import (
     METHOD_DCOV_PERM,
@@ -182,8 +188,9 @@ def _resolve_workers(threads: int) -> int:
 def _run_tasks(worker, payloads, threads: int):
     """Map worker over payloads, in order, on at most one process per
     payload and per usable core (``core._fork_map``); 1 worker stays
-    in-process."""
+    in-process.  Sets up this process first (module docstring)."""
     workers = min(_resolve_workers(threads), _usable_cores(), len(payloads))
+    _keep_freed_memory()
     if workers > 1:
         # the workers inherit the pinned BLAS count and scipy's distance module
         _before_fork()

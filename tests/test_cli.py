@@ -122,6 +122,21 @@ class TestCmdTest:
         ]
         assert out.count("\n") == 1
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_provenance_on_stderr_once_the_file_is_read(
+        self, four_csv, capsys, threads
+    ):
+        argv = ["test", "--input", four_csv, "--label-col", "y", "--threads", threads]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["n"] == 4
+        assert captured.err.count("\n") == 1
+        provenance = json.loads(captured.err)
+        assert_config_is_the_command_line(provenance, argv)
+        assert provenance["config"]["subcommand"] == "test"
+        assert provenance["versions"] == VERSIONS
+        assert_blas_provenance(provenance)
+
     def test_missing_file_exits_one(self, tmp_path, capsys):
         path = str(tmp_path / "absent.csv")
         code = main(["test", "--input", path, "--label-col", "y"])

@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ginicov.core
@@ -316,6 +316,8 @@ class TestLoadCsvTokenizer:
 
     @settings(max_examples=400, deadline=None)
     @given(case=csv_files())
+    # a quoted field over the limit whose every line is within it
+    @example(case=(' 3 ,0,"\n0,0,0\n0,0,"4"\n0,0,0\n0,0,0', -1, False, 12))
     def test_equals_the_row_loop(self, tmp_path_factory, case):
         text, label_column, has_header, field_limit = case
         f = tmp_path_factory.getbasetemp() / "case.csv"
@@ -327,6 +329,17 @@ class TestLoadCsvTokenizer:
             )
         finally:
             csv.field_size_limit(default)
+
+    @settings(max_examples=300, deadline=None)
+    @given(line=st.text(',a"', max_size=30), quoted=st.booleans())
+    def test_ends_quoted_as_csv_reads(self, line, quoted):
+        # a line that ends inside a quoted field takes its line end into it;
+        # a line that begins inside one reads like one that opens it
+        text = ('"' if quoted else "") + line + "\nz\n"
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+        assert ginicov.core._ends_quoted(line + "\n", quoted) == any(
+            "\n" in field for row in rows for field in row
+        )
 
     @settings(max_examples=300, deadline=None)
     @given(line=st.text(",ab\n", max_size=40), limit=st.integers(0, 12))

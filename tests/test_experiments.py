@@ -192,6 +192,23 @@ def _blas_after_a_product(seed):
     return distmat._openblas_threads()[0](), len(os.listdir("/proc/self/task"))
 
 
+def _in_fresh_interpreter(script: str) -> str:
+    """stdout of ``script`` run by a fresh interpreter that imports the
+    package from this source tree."""
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+# the null design of the malloc-threshold tests, run for 8 replicates
+_SMALL_NULL = dict(example=1, p=500, sizes=(30, 40, 50))
+
+
 class TestRunTasks:
     @pytest.mark.skipif(
         distmat._openblas_threads() is None
@@ -216,8 +233,7 @@ class TestRunTasks:
     )
     def test_forked_workers_inherit_scipys_distance_module(self):
         # a fresh interpreter, so no earlier test has imported scipy.spatial
-        script = textwrap.dedent(
-            """
+        script = """
             import sys
             import ginicov
             from ginicov.experiments import _run_tasks
@@ -229,15 +245,7 @@ class TestRunTasks:
 
             print(_run_tasks(probe, [1, 2], 2))
             """
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": SRC},
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "[True, True]\n"
+        assert _in_fresh_interpreter(script) == "[True, True]\n"
 
     @pytest.mark.parametrize(
         "tasks, threads, children",
@@ -262,6 +270,59 @@ class TestRunTasks:
         assert _run_tasks(abs, payloads, threads) == [abs(p) for p in payloads]
         assert len(forks) == children
         assert not multiprocessing.active_children()
+
+
+class TestKeepFreedMemory:
+    def test_a_repeated_study_faults_in_no_freed_memory(self):
+        pytest.importorskip("resource")
+        # without the raised thresholds, glibc hands each replicate's freed
+        # arrays back to the kernel and the next replicate faults them in
+        # again: about 200 minor faults per replicate of the second call
+        out = _in_fresh_interpreter(
+            f"""
+            import resource
+            from ginicov import ScenarioSpec, StudyConfig, normality_study
+            from ginicov.distmat import _keep_freed_memory
+
+            cfg = StudyConfig(scenario=ScenarioSpec(**{_SMALL_NULL!r}), replicates=8)
+            normality_study(cfg, threads=1)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            normality_study(cfg, threads=1)
+            after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            print(_keep_freed_memory(), (after - before) / cfg.replicates)
+            """
+        )
+        found, per_replicate = out.split()
+        if found != "True":
+            pytest.skip("the C library has no mallopt; nothing is set")
+        assert float(per_replicate) < 20
+
+    def test_no_mallopt_sets_nothing_and_changes_no_z(self):
+        # a fresh interpreter whose C library lookup fails; the study forks
+        # after the helper has run
+        out = _in_fresh_interpreter(
+            f"""
+            import ctypes
+
+            class NoLibc(ctypes.CDLL):
+                def __init__(self, name, *args, **kwargs):
+                    if name is None:
+                        raise OSError("no C library")
+                    super().__init__(name, *args, **kwargs)
+
+            ctypes.CDLL = NoLibc
+            from ginicov import ScenarioSpec, StudyConfig, normality_study
+            from ginicov.distmat import _keep_freed_memory
+
+            cfg = StudyConfig(scenario=ScenarioSpec(**{_SMALL_NULL!r}), replicates=8)
+            z = normality_study(cfg, threads=2).z_samples
+            print(_keep_freed_memory(), z.tobytes().hex())
+            """
+        )
+        found, z = out.split()
+        assert found == "False"
+        cfg = StudyConfig(scenario=ScenarioSpec(**_SMALL_NULL), replicates=8)
+        assert z == normality_study(cfg, threads=1).z_samples.tobytes().hex()
 
 
 class TestSizePowerStudy:
