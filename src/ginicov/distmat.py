@@ -68,11 +68,11 @@ from .errors import TooSmallError
 _TREE_SUM_DIM = 1024
 
 # Above this many classes, each class block is summed on its own: the one-hot
-# matrix (n x m*k) and its product grow with k.  The one-thread product still
-# wins up to k = 16 at n = 1000 and past k = 32 at n = 300 (README ledger),
-# but no study design or benchmark workload permutes more than 3 classes,
-# so the cut stays at 4.
-_ONEHOT_MAX_K = 4
+# matrix (n x m*k) and its product grow with k.  The one-thread product wins
+# at every k up to 8 at every n measured (README ledger); past 8 it still wins
+# up to k = 16 at n = 1000 and past k = 32 at n = 300, so a higher cut waits
+# on a many-class workload.
+_ONEHOT_MAX_K = 8
 
 # glibc's mallopt parameters, from <malloc.h>
 _M_TRIM_THRESHOLD = -1
@@ -255,8 +255,10 @@ def class_pair_sums(d: np.ndarray, labelings, k: int) -> np.ndarray:
 
     With at most ``_ONEHOT_MAX_K`` classes the block takes one single-threaded
     BLAS product with a one-hot label matrix, whose sums may differ from a
-    pairwise reduction in the last bits; with more, each labelling's class
-    blocks are summed one by one.
+    pairwise reduction in the last bits; its two buffers, the one-hot matrix
+    and the product, are n x k*L each, so a block of ``streams.labellings``
+    takes at most two n x 8 * ``streams._BLOCK`` arrays.  With more classes,
+    each labelling's class blocks are summed one by one.
     """
     if k > _ONEHOT_MAX_K:
         return np.array([_block_pair_sums(d, lab, k) for lab in labelings])

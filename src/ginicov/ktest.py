@@ -19,7 +19,7 @@ from .distmat import class_pair_sums, pairwise_distances
 # u_center stays a module attribute: perfbench's tracer rebinds ktest.u_center
 from .distmat import u_center  # noqa: F401
 from .estimators import _dcov_from_sums, _gini_from_sums, gini_estimates
-from .streams import permutation_keys, shuffled
+from .streams import labellings
 # substream stays a module attribute: perfbench's tracer rebinds ktest.substream
 from .streams import substream  # noqa: F401
 
@@ -29,10 +29,6 @@ METHOD_DCOV_PERM = "dcov-perm"
 
 _SQRT2 = math.sqrt(2.0)
 
-# most labellings per kernel call: its buffers stay O(n * _BLOCK) for any B
-_BLOCK = 128
-# streams per stream-key hash, a multiple of _BLOCK: 32 KiB of keys for any B
-_KEYS = 16 * _BLOCK
 # the methods of the engine's two statistic rows, in row order
 _PERM_METHODS = (METHOD_GINI_PERM, METHOD_DCOV_PERM)
 # rounding scale, relative to the pooled mean distance: a permutation
@@ -100,25 +96,6 @@ def gini_normal_test(
     return _normal_test_from_distance(pairwise_distances(ds, threads), gi, alpha)
 
 
-def _labellings(seed: int, codes, permutations: int):
-    """The observed codes, then ``shuffled`` rows of the streams (seed, b)
-    for b = 1..B, in slices of _BLOCK labellings (the last may hold fewer).
-    The observed codes are row 0 of the first block, which B >= 1 makes
-    multi-row: a one-row product takes another BLAS kernel, whose last bits
-    differ.  Keys are hashed _KEYS streams at a time, so memory does not
-    grow with B."""
-    for lo in range(0, permutations + 1, _KEYS):
-        # keys[j] is stream lo + j's; b = 0 is no replicate, and its row
-        # becomes the observed codes
-        keys = permutation_keys(seed, range(lo, min(lo + _KEYS, permutations + 1)))
-        for i in range(0, len(keys), _BLOCK):
-            labs = shuffled(keys[i:i + _BLOCK], codes)
-            if lo + i == 0:
-                labs[0] = codes
-            yield labs
-        del keys, labs  # freed before the next chunk is hashed
-
-
 def _block_statistics(d, gi, labs, pooled: float, row_sums):
     """Gini covariance and dCov, shape (2, m), of an (m, n) labelling block."""
     m = labs.shape[0]
@@ -140,16 +117,19 @@ def _perm_test_from_distance(d, gi, permutations: int, alpha: float, seed: int):
     pairs = math.comb(gi.n, 2)
     gamma = _ROUNDING * pooled / pairs
     # every distance at the pooled mean (equidistant or coincident rows)
-    # leaves both statistics rounding noise: report the non-rejection outright
-    degenerate = bool(d.max() - pooled / pairs <= gamma)
-    blocks = _labellings(seed, gi.codes, permutations)
-    stats = _block_statistics(d, gi, next(blocks), pooled, row_sums)
-    # running counts of the replicates at or above t_obs - gamma
-    t_obs, floor = stats[:, 0], stats[:, :1] - gamma
-    n_ge = (stats[:, 1:] >= floor).sum(axis=1)
-    for labs in blocks:
-        n_ge += (_block_statistics(d, gi, labs, pooled, row_sums) >= floor).sum(axis=1)
-    p_values = np.ones(2) if degenerate else (1.0 + n_ge) / (permutations + 1.0)
+    # leaves both statistics rounding noise, and distances that overflowed
+    # leave them NaN: report the non-rejection outright (written so that NaN
+    # is degenerate too)
+    degenerate = not d.max() - pooled / pairs > gamma
+    # counts of the labellings at or above t_obs - gamma; the observed one,
+    # row 0 of the first block, counts itself and so supplies the add-one
+    n_ge, floor = 0, None
+    for labs in labellings(seed, gi.codes, permutations):
+        stats = _block_statistics(d, gi, labs, pooled, row_sums)
+        if floor is None:
+            t_obs, floor = stats[:, 0], stats[:, :1] - gamma
+        n_ge += (stats >= floor).sum(axis=1)
+    p_values = np.ones(2) if degenerate else n_ge / (permutations + 1.0)
     return {
         method: TestResult(
             method=method, statistic=float(t), z=None, p_value=float(p),

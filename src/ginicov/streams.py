@@ -11,15 +11,11 @@ Stream keys used across the package:
 * scenario data:       (seed, replicate, class_index)
 * study batches:       per-beta root seeds derived via derive_seed(seed, i)
 
-Permutation streams are made in two steps.  :func:`permutation_keys` derives
-the Philox keys of many ``(seed, b)`` streams in one vectorized pass of
-numpy's ``SeedSequence`` hash (restated in uint32 arithmetic below); the
-permutation engine hashes one chunk of a few thousand streams at a time.
-:func:`shuffled` then shuffles one copy of the input per key with a single
-reused generator, whose state is reset to each key from Python ints.  Row i
-is bit-for-bit ``x[substream(seed, bs[i]).permutation(len(x))]`` when the
-keys are ``permutation_keys(seed, bs)``; the contract is the same as the
-one-generator-per-stream one, only cheaper to set up.
+:func:`labellings` is the one source of a permutation test's labellings.  It
+builds no ``substream`` generator for its rows: it derives the Philox keys of
+``_KEYS`` streams at a time in one vectorized pass of numpy's
+``SeedSequence`` hash (restated in uint32 arithmetic below), and resets one
+reused generator to each row's key, so memory stays O(n * _BLOCK + _KEYS).
 """
 
 from __future__ import annotations
@@ -77,8 +73,13 @@ def _mix(x, y):
 _HASHMIX = _hash_constants(_INIT_A, _MULT_A, _POOL * _POOL)
 _GENERATE = _hash_constants(_INIT_B, _MULT_B, 4)
 
+# most labellings per block: the kernel's buffers stay O(n * _BLOCK) for any B
+_BLOCK = 128
+# streams per key hash, a multiple of _BLOCK: 32 KiB of keys for any B
+_KEYS = 16 * _BLOCK
 
-def permutation_keys(seed: int, bs) -> np.ndarray:
+
+def _stream_keys(seed: int, bs) -> np.ndarray:
     """Philox keys, shape (len(bs), 2) uint64, of the streams (seed, b).
 
     Equal to ``SeedSequence([seed & (2**64 - 1), b]).generate_state(2,
@@ -103,27 +104,38 @@ def permutation_keys(seed: int, bs) -> np.ndarray:
     return state.astype("<u4", copy=False).view("<u8")
 
 
-def shuffled(keys, x) -> np.ndarray:
-    """Rows ``x[substream(seed, b).permutation(len(x))]``, one per row of
-    ``keys = permutation_keys(seed, bs)``.
+def labellings(seed: int, codes, permutations: int):
+    """The observed ``codes``, then ``codes[substream(seed, b).permutation(n)]``
+    for b = 1..``permutations``, in (m, n) blocks cut at multiples of _BLOCK
+    in b.  So for B >= 1 the first block holds the observed codes and at
+    least one replicate: a one-row product takes another BLAS kernel, whose
+    last bits differ.
 
     One Philox generator serves every row: before each shuffle its state is
     reset to the stream's key with a zero counter and an empty buffer, the
     state a fresh ``substream(seed, b)`` starts from.  The state holds Python
     ints, which the state setter reads faster than numpy scalars.
     ``Generator.shuffle`` makes the same swaps as ``permutation``, so
-    shuffling a copy of ``x`` gives the gathered row directly.
+    shuffling a copy of ``codes`` gives the gathered row directly.
     """
-    x = np.asarray(x)
-    out = np.empty((len(keys), x.size), dtype=x.dtype)
-    out[:] = x
+    codes = np.asarray(codes)
     bit_gen = np.random.Philox(0)
     start = bit_gen.state  # buffer_pos 4 (empty buffer), no cached uint32
     start["state"]["counter"] = [0, 0, 0, 0]
     start["buffer"] = [0, 0, 0, 0]
     gen = np.random.Generator(bit_gen)
-    for row, key in zip(out, keys.tolist()):
-        start["state"]["key"] = key
-        bit_gen.state = start
-        gen.shuffle(row)
-    return out
+    for lo in range(0, permutations + 1, _KEYS):
+        hi = min(lo + _KEYS, permutations + 1)
+        # keys[i] is stream first + i's; b = 0 is the observed codes, no stream
+        first = max(lo, 1)
+        keys = _stream_keys(seed, range(first, hi))
+        for b0 in range(lo, hi, _BLOCK):
+            b1, r0 = min(b0 + _BLOCK, hi), max(b0, 1)
+            block = np.empty((b1 - b0, codes.size), dtype=codes.dtype)
+            block[:] = codes
+            for row, key in zip(block[r0 - b0:], keys[r0 - first:b1 - first].tolist()):
+                start["state"]["key"] = key
+                bit_gen.state = start
+                gen.shuffle(row)
+            yield block
+        del keys, block  # freed before the next chunk is hashed

@@ -65,6 +65,12 @@ REMOVED = {
     "ProcessPoolExecutor": ginicov.experiments,
     "_normality_z": ginicov.experiments,
     "_power_replicate": ginicov.experiments,
+    # the two-step key interface: streams.labellings is the one source
+    "_labellings": ginicov.ktest,
+    "_KEYS": ginicov.ktest,
+    "_BLOCK": ginicov.ktest,
+    "permutation_keys": ginicov.streams,
+    "shuffled": ginicov.streams,
 }
 
 

@@ -297,10 +297,10 @@ class TestGroupGmdInputs:
 
 class TestClassPairSums:
     def test_each_labelling_matches_block_sums(self):
-        # up to 8 classes (both summation paths) and from 1 to 8 labellings
+        # up to 12 classes (both summation paths) and from 1 to 8 labellings
         rng = np.random.default_rng(17)
         for _ in range(40):
-            k = int(rng.integers(1, 9))
+            k = int(rng.integers(1, 13))
             d = pairwise_distances(random_dataset(rng))
             labelings = rng.integers(0, k, (int(rng.integers(1, 9)), d.shape[0]))
             sums = class_pair_sums(d, labelings, k)
@@ -323,7 +323,7 @@ class TestClassPairSums:
     @settings(max_examples=60, deadline=None)
     @given(
         n=st.integers(4, 300),
-        k=st.integers(2, 4),
+        k=st.integers(2, 8),
         m=st.integers(1, 130),
         seed=st.integers(0, 2**32 - 1),
     )

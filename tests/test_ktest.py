@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+import ginicov.distmat
 import ginicov.ktest
+import ginicov.streams
 from ginicov import (
     LabeledDataset,
     ScenarioSpec,
@@ -20,7 +22,7 @@ from ginicov import (
 )
 from ginicov.distmat import class_pair_sums
 from ginicov.ktest import _normal_test_from_distance, _perm_test_from_distance
-from ginicov.streams import permutation_keys, shuffled, substream
+from ginicov.streams import substream
 from test_core import traced_peak
 
 # Phi(x) from a 50-digit erfc evaluation, truncated to double precision; it
@@ -256,6 +258,18 @@ class TestPermutationTest:
             assert res.p_value == 1.0 and not res.reject
             assert res.degenerate
 
+    def test_overflowing_distances_are_degenerate(self):
+        # finite data whose distances overflow to inf leave every statistic
+        # NaN: no rejection, as the normal test reports for the same data
+        x = np.array([1e200, -1e200, 3e199, 1.0, 2.0, -5e199, 7e199, 0.5])[:, None]
+        ds = LabeledDataset(x, ("a",) * 4 + ("b",) * 4)
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert gini_normal_test(ds).degenerate
+            results = permutation_test(ds, permutations=99, seed=1)
+        for res in results.values():
+            assert res.degenerate
+            assert res.p_value == 1.0 and not res.reject
+
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(23)
         ds = two_class_dataset(rng, shift=0.4)
@@ -343,11 +357,12 @@ class TestPermutationTest:
         # the batched engine sums in another order, so statistics agree to
         # a tolerance on the distance scale and p-values exactly; B + 1
         # straddles the engine's 128-labelling blocks, and the designs take
-        # both of the kernel's summation paths (k <= 4 and k > 4)
+        # both of the kernel's summation paths (k <= 8 and k > 8)
         rng = np.random.default_rng(29)
         designs = [(10, 10), (15, 15, 15), (14, 9, 5), (30, 12, 6, 4),
-                   (6, 5, 5, 4, 4), (4, 3, 3, 3, 3, 2, 2, 2)]
-        for trial in range(18):
+                   (6, 5, 5, 4, 4), (4, 3, 3, 3, 3, 2, 2, 2),
+                   (4, 3, 3, 3, 3, 3, 2, 2, 2)]
+        for trial in range(21):
             sizes = designs[trial % len(designs)]
             b = (127, 128, 257)[trial % 3]
             ds = shifted_dataset(rng, sizes, p=5, shift=0.15)
@@ -393,7 +408,7 @@ class TestPermutationTest:
         # pins the engine's blocking: full blocks of _BLOCK labellings in
         # stream order, the last one holding the rest, and the observed
         # labelling summed in the same product as its first replicates
-        block, keys = ginicov.ktest._BLOCK, ginicov.ktest._KEYS
+        block, keys = ginicov.streams._BLOCK, ginicov.streams._KEYS
         assert keys % block == 0
         shapes = []
 
@@ -426,14 +441,35 @@ class TestPermutationTest:
         d, gi = pairwise_distances(ds), group_index(ds)
         # the last two B span two key chunks; at B = _KEYS the second holds
         # one stream, a one-row block
-        keys = ginicov.ktest._KEYS
+        keys = ginicov.streams._KEYS
+        expected = np.vstack(
+            [gi.codes] + [gi.codes[substream(seed, b).permutation(gi.n)]
+                          for b in range(1, keys + 65)]
+        )
         for b in (1, 127, 128, 129, 999, keys - 1, keys, keys + 64):
             labellings.clear()
             _perm_test_from_distance(d, gi, b, 0.05, seed)
-            expected = np.vstack(
-                [gi.codes, shuffled(permutation_keys(seed, range(1, b + 1)), gi.codes)]
-            )
-            assert np.array_equal(np.vstack(labellings), expected), b
+            assert np.array_equal(np.vstack(labellings), expected[: b + 1]), b
+
+    def test_one_hot_cut_changes_no_p_value(self, monkeypatch):
+        # K = 5..8 runs through the class-block gathers with the cut at 4 and
+        # through the one-hot product with it at 8: the sums differ in the
+        # last bits, which only a replicate tying the observed value could feel
+        rng = np.random.default_rng(36)
+        for trial in range(16):
+            k = 5 + trial % 4
+            sizes = tuple(int(s) for s in rng.integers(3, 12, size=k))
+            ds = shifted_dataset(rng, sizes, p=6, shift=(0.0, 0.1)[trial % 2])
+            d, gi = pairwise_distances(ds), group_index(ds)
+            scale = d.sum() / (gi.n * (gi.n - 1))
+            results = {}
+            for cut in (4, 8):
+                monkeypatch.setattr(ginicov.distmat, "_ONEHOT_MAX_K", cut)
+                results[cut] = _perm_test_from_distance(d, gi, 199, 0.05, trial)
+            for method, res in results[8].items():
+                old = results[4][method]
+                assert res.p_value == old.p_value, (sizes, trial, method)
+                assert abs(res.statistic - old.statistic) <= 1e-12 * scale
 
     def test_traced_peak_does_not_grow_with_permutations(self):
         # the engine keeps running counts, not every replicate's statistics
