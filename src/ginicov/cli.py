@@ -81,6 +81,7 @@ def cmd_test(args) -> int:
         _check_permutations(args.permutations)
     threads = _resolve_workers(args.threads)
     ds = load_csv(args.input, args.label_col, not args.no_header, workers=threads)
+    _check_scale(ds, args.input)
     # after the read, so a usage or data error stays one line on stderr
     _provenance(args)
     if args.method == METHOD_GINI_NORMAL:
@@ -111,6 +112,23 @@ def cmd_test(args) -> int:
     out["degenerate"] = res.degenerate
     print(json.dumps(out))
     return 0
+
+
+def _check_scale(ds, path: str) -> None:
+    """Refuse data large enough to overflow a squared distance or the sum of
+    squares of the U-centered matrix, which would leave every statistic NaN.
+    A distance is at most 2 sqrt(p) max|x|, a U-centered entry at most 6
+    distances, and n**2 squared entries are summed."""
+    n, p = ds.data.shape
+    limit = (sys.float_info.max / (144 * p)) ** 0.5 / n
+    # max and -min, not abs(), so no copy of the data is made
+    scale = max(ds.data.max(), -ds.data.min())
+    if scale > limit:
+        raise GinicovError(
+            f"{path}: values up to {scale:.3g} in magnitude could overflow the "
+            f"distances of {n} rows of {p} features (at most {limit:.3g}); "
+            "rescale the data"
+        )
 
 
 def _check_out_path(path: str) -> None:

@@ -23,13 +23,13 @@ the calling thread.  Study workers use the default of one thread, so a
 study never runs more threads than workers; ``ginicov test --threads``
 sets the count for a single test.
 
-A block of relabellings gets its class pair sums from one BLAS product with a
-one-hot label matrix.  That product runs on exactly one OpenBLAS thread,
-whether the caller is a study worker or a single ``ginicov test``: more
-threads oversubscribe the study workers, and on two cores they made a lone
-product far less steady.  ``_pin_blas`` sets the thread count of numpy's
-bundled OpenBLAS to 1 through ``ctypes`` when it reads anything else, and
-never restores it.  It runs before every product.  Where the library is not
+A block of relabellings gets its class pair sums and class totals from one
+``class_sums`` call, one BLAS product with a one-hot label matrix, which runs
+on exactly one OpenBLAS thread, for a study worker and ``ginicov test``
+alike: more threads oversubscribe the study workers, and on two cores they
+made a lone product far less steady.  ``_pin_blas`` sets the thread count of
+numpy's bundled OpenBLAS to 1 through ``ctypes`` when it reads anything
+else, and never restores it.  It runs before every product.  Where the library is not
 found, the product runs on the BLAS's own thread setting.
 
 The study driver calls ``_before_fork`` just before it forks its workers.
@@ -249,22 +249,29 @@ def _block_pair_sums(d: np.ndarray, codes: np.ndarray, k: int) -> np.ndarray:
     return np.array([d[ix[:, None], ix].sum() for ix in blocks]) / 2.0
 
 
-def class_pair_sums(d: np.ndarray, labelings, k: int) -> np.ndarray:
-    """Sums of ``d`` over unordered pairs within each class, shape (L, k),
-    for an (L, n) array of labellings in [0, k).
+def class_sums(d: np.ndarray, row_sums: np.ndarray, labelings, k: int):
+    """Class pair sums and class totals, each (m, k), of an (m, n) array of
+    labellings in [0, k): ``pairs[l, c]`` sums ``d`` over unordered pairs
+    within class c of labelling l, ``totals[l, c]`` sums ``row_sums`` over
+    that class.
 
-    With at most ``_ONEHOT_MAX_K`` classes the block takes one single-threaded
-    BLAS product with a one-hot label matrix, whose sums may differ from a
-    pairwise reduction in the last bits; its two buffers, the one-hot matrix
-    and the product, are n x k*L each, so a block of ``streams.labellings``
-    takes at most two n x 8 * ``streams._BLOCK`` arrays.  With more classes,
-    each labelling's class blocks are summed one by one.
+    Up to ``_ONEHOT_MAX_K`` classes, one single-threaded BLAS product with a
+    gathered one-hot matrix (column ``c + k*l`` marks class c of labelling l)
+    gives the pair sums, which may differ from a pairwise reduction in the
+    last bits.  Its two buffers, the one-hot matrix and the product, are n x
+    k*m each (at most n x 8 * ``streams._BLOCK``); the totals reuse the
+    product's, summed row by row to the bits of ``np.bincount``.  With more
+    classes, or with one (one labelling would give a lone column, which
+    numpy sums pairwise), each labelling's class blocks are summed one by
+    one.
     """
-    if k > _ONEHOT_MAX_K:
-        return np.array([_block_pair_sums(d, lab, k) for lab in labelings])
+    if not 2 <= k <= _ONEHOT_MAX_K:
+        return (np.array([_block_pair_sums(d, lab, k) for lab in labelings]),
+                np.array([np.bincount(lab, row_sums, k) for lab in labelings]))
     m, n = labelings.shape
-    onehot = np.zeros((n, m * k))
-    onehot[np.arange(n)[:, None], labelings.T + k * np.arange(m)] = 1.0
+    onehot = np.take(np.eye(k), labelings.T, axis=0).reshape(n, m * k)
     _pin_blas()
     within = d @ onehot
-    return np.einsum("il,il->l", onehot, within).reshape(m, k) / 2.0
+    pairs = np.einsum("il,il->l", onehot, within).reshape(m, k) / 2.0
+    totals = np.multiply(onehot, row_sums[:, None], out=within).sum(axis=0)
+    return pairs, totals.reshape(m, k)

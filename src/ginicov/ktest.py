@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LabeledDataset, group_index, validate_for_testing
-from .distmat import class_pair_sums, pairwise_distances
+from .distmat import class_sums, pairwise_distances
 # u_center stays a module attribute: perfbench's tracer rebinds ktest.u_center
 from .distmat import u_center  # noqa: F401
 from .estimators import _dcov_from_sums, _gini_from_sums, gini_estimates
@@ -96,16 +96,6 @@ def gini_normal_test(
     return _normal_test_from_distance(pairwise_distances(ds, threads), gi, alpha)
 
 
-def _block_statistics(d, gi, labs, pooled: float, row_sums):
-    """Gini covariance and dCov, shape (2, m), of an (m, n) labelling block."""
-    m = labs.shape[0]
-    sums = class_pair_sums(d, labs, gi.k)
-    flat = (labs + gi.k * np.arange(m)[:, None]).ravel()
-    rows = np.bincount(flat, np.tile(row_sums, m), m * gi.k).reshape(m, gi.k)
-    return np.stack([_gini_from_sums(pooled, sums, gi.counts, gi.n),
-                     _dcov_from_sums(pooled, sums, rows, gi.counts, gi.n)])
-
-
 def _perm_test_from_distance(d, gi, permutations: int, alpha: float, seed: int):
     """gini-perm and dcov-perm results by method, from one pass over the
     streams: replicate b gives row j the class of row perm[j], perm from the
@@ -125,7 +115,9 @@ def _perm_test_from_distance(d, gi, permutations: int, alpha: float, seed: int):
     # row 0 of the first block, counts itself and so supplies the add-one
     n_ge, floor = 0, None
     for labs in labellings(seed, gi.codes, permutations):
-        stats = _block_statistics(d, gi, labs, pooled, row_sums)
+        sums, rows = class_sums(d, row_sums, labs, gi.k)
+        stats = np.stack([_gini_from_sums(pooled, sums, gi.counts, gi.n),
+                          _dcov_from_sums(pooled, sums, rows, gi.counts, gi.n)])
         if floor is None:
             t_obs, floor = stats[:, 0], stats[:, :1] - gamma
         n_ge += (stats >= floor).sum(axis=1)

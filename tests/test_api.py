@@ -71,6 +71,9 @@ REMOVED = {
     "_BLOCK": ginicov.ktest,
     "permutation_keys": ginicov.streams,
     "shuffled": ginicov.streams,
+    # one kernel per permutation block: distmat.class_sums
+    "_block_statistics": ginicov.ktest,
+    "class_pair_sums": ginicov.distmat,
 }
 
 

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -99,6 +100,27 @@ class TestCmdTest:
         payload = json.loads(capsys.readouterr().out)
         assert payload["degenerate"] is True
         assert payload["p_value"] == 1.0 and payload["reject"] is False
+
+    @pytest.mark.parametrize("method", ["gini-normal", "gini-perm", "dcov-perm"])
+    def test_values_that_overflow_the_distances_exit_one(
+        self, tmp_path, capsys, method
+    ):
+        # finite values near 1e200 would square past the largest double and
+        # leave a NaN statistic, which is not JSON
+        f = tmp_path / "big.csv"
+        values = (1e200, -1e200, 3e199, 1.0, 2.0, -5e199, 7e199, 0.5)
+        f.write_text("y,x\n" + "".join(
+            f"{'ab'[i // 4]},{v!r}\n" for i, v in enumerate(values)
+        ))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["test", "--input", str(f), "--label-col", "y",
+                         "--method", method])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {f}: values up to 1e+200 ")
+        assert captured.err.count("\n") == 1
 
     def test_permutations_beyond_one_stream_word_exit_two(self, four_csv, capsys):
         code = main(

@@ -18,7 +18,7 @@ from ginicov import (
     u_center,
 )
 from ginicov import distmat
-from ginicov.distmat import _block_pair_sums, class_pair_sums
+from ginicov.distmat import _block_pair_sums, class_sums
 
 FOUR_POINTS = np.array([[0.0], [2.0], [1.0], [3.0]])
 
@@ -303,8 +303,8 @@ class TestClassPairSums:
             k = int(rng.integers(1, 13))
             d = pairwise_distances(random_dataset(rng))
             labelings = rng.integers(0, k, (int(rng.integers(1, 9)), d.shape[0]))
-            sums = class_pair_sums(d, labelings, k)
-            assert sums.shape == (labelings.shape[0], k)
+            sums, totals = class_sums(d, d.sum(axis=1), labelings, k)
+            assert sums.shape == totals.shape == (labelings.shape[0], k)
             for lab, row in zip(labelings, sums):
                 for c in range(k):
                     ix = np.flatnonzero(lab == c)
@@ -323,20 +323,25 @@ class TestClassPairSums:
     @settings(max_examples=60, deadline=None)
     @given(
         n=st.integers(4, 300),
-        k=st.integers(2, 8),
+        k=st.integers(1, 12),
         m=st.integers(1, 130),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_product_agrees_with_block_sums(self, n, k, m, seed):
-        # the BLAS product and the pairwise block sums of each labelling may
-        # differ only in the last bits
+        # on both sides of _ONEHOT_MAX_K the pair sums may differ from each
+        # labelling's pairwise block sums only in the last bits, and the class
+        # totals are bincount's row-ordered sums, bit for bit
         rng = np.random.default_rng(seed)
         d = pairwise_distances(rng.standard_normal((n, int(rng.integers(1, 30)))))
+        row_sums = d.sum(axis=1)
         labelings = rng.integers(0, k, (m, n))
-        product = class_pair_sums(d, labelings, k)
+        product, totals = class_sums(d, row_sums, labelings, k)
         blocks = np.vstack([_block_pair_sums(d, lab, k) for lab in labelings])
         ulp = np.spacing(d.sum() / 2.0)
         assert np.abs(product - blocks).max() <= 8 * ulp
+        assert np.array_equal(
+            totals, np.vstack([np.bincount(lab, row_sums, k) for lab in labelings])
+        )
 
     def test_product_runs_on_one_thread_and_leaves_the_count_at_one(self):
         threads = distmat._openblas_threads()
@@ -358,16 +363,16 @@ class TestClassPairSums:
         before = get()
         try:
             set_(2)
-            class_pair_sums(d, labelings, 3)
+            class_sums(d, d.sum(axis=1), labelings, 3)
             assert get() == 1
             # a caller that raises the count again gets one thread again,
             # also for a product that raises
             set_(2)
-            class_pair_sums(d, labelings, 3)
+            class_sums(d, d.sum(axis=1), labelings, 3)
             assert get() == 1
             set_(2)
             with pytest.raises(MemoryError):
-                class_pair_sums(d, labelings, 3)
+                class_sums(d, d.sum(axis=1), labelings, 3)
             assert get() == 1
         finally:
             set_(before)
@@ -378,8 +383,10 @@ class TestClassPairSums:
         rng = np.random.default_rng(20)
         d = pairwise_distances(random_dataset(rng, n=30))
         labelings = rng.integers(0, 3, (5, 30))
-        pinned = class_pair_sums(d, labelings, 3)
+        pinned = class_sums(d, d.sum(axis=1), labelings, 3)
         monkeypatch.setattr(distmat, "_openblas_threads", lambda: None)
         assert distmat.kernel_blas_threads() is None
-        unpinned = class_pair_sums(d, labelings, 3)
-        assert np.abs(unpinned - pinned).max() <= 8 * np.spacing(d.sum() / 2.0)
+        unpinned = class_sums(d, d.sum(axis=1), labelings, 3)
+        ulp = np.spacing(d.sum() / 2.0)
+        assert np.abs(unpinned[0] - pinned[0]).max() <= 8 * ulp
+        assert np.array_equal(unpinned[1], pinned[1])

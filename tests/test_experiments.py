@@ -33,7 +33,7 @@ from ginicov.experiments import (
     write_power_csv,
     write_power_json,
 )
-from ginicov.distmat import class_pair_sums, pairwise_distances
+from ginicov.distmat import class_sums, pairwise_distances
 from ginicov.streams import substream
 from test_core import traced_peak
 
@@ -184,11 +184,11 @@ class TestNormalityStudy:
 
 
 def _blas_after_a_product(seed):
-    """Worker: one class-pair-sum product on a small design, then the
+    """Worker: one class-sum product on a small design, then the
     OpenBLAS thread count and the number of this process's threads."""
     rng = np.random.default_rng(seed)
     d = pairwise_distances(rng.standard_normal((20, 4)))
-    class_pair_sums(d, rng.integers(0, 3, (5, 20)), 3)
+    class_sums(d, d.sum(axis=1), rng.integers(0, 3, (5, 20)), 3)
     return distmat._openblas_threads()[0](), len(os.listdir("/proc/self/task"))
 
 

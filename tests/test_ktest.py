@@ -20,7 +20,7 @@ from ginicov import (
     scenario_dataset,
     u_center,
 )
-from ginicov.distmat import class_pair_sums
+from ginicov.distmat import class_sums
 from ginicov.ktest import _normal_test_from_distance, _perm_test_from_distance
 from ginicov.streams import substream
 from test_core import traced_peak
@@ -412,11 +412,11 @@ class TestPermutationTest:
         assert keys % block == 0
         shapes = []
 
-        def recording(d, labelings, k):
+        def recording(d, row_sums, labelings, k):
             shapes.append(labelings.shape[0])
-            return class_pair_sums(d, labelings, k)
+            return class_sums(d, row_sums, labelings, k)
 
-        monkeypatch.setattr(ginicov.ktest, "class_pair_sums", recording)
+        monkeypatch.setattr(ginicov.ktest, "class_sums", recording)
         ds = two_class_dataset(np.random.default_rng(33))
         d, gi = pairwise_distances(ds), group_index(ds)
         for b in (1, 127, 128, 129, 999, keys - 1, keys, keys + 64):
@@ -432,11 +432,11 @@ class TestPermutationTest:
     ):
         labellings = []
 
-        def recording(d, labelings, k):
+        def recording(d, row_sums, labelings, k):
             labellings.append(labelings.copy())
-            return class_pair_sums(d, labelings, k)
+            return class_sums(d, row_sums, labelings, k)
 
-        monkeypatch.setattr(ginicov.ktest, "class_pair_sums", recording)
+        monkeypatch.setattr(ginicov.ktest, "class_sums", recording)
         ds = two_class_dataset(np.random.default_rng(34), n1=5, n2=4)
         d, gi = pairwise_distances(ds), group_index(ds)
         # the last two B span two key chunks; at B = _KEYS the second holds
