@@ -16,21 +16,23 @@ Threads are used on the p > 1024 tiles only.  ``pairwise_distances(ds,
 threads)`` deals the rows of the upper triangle out to up to ``threads``
 threads, interleaved so each gets a like share of the triangle; numpy's
 subtract, square and sum release the GIL, so the tiles run in parallel.
-Each thread has its own tile buffer and writes only the entries of its own
-rows, each still numpy's pairwise sum over one contiguous p-vector, so the
-matrix is bit-identical for every thread count.  The pdist branch runs on
-the calling thread.  Study workers use the default of one thread, so a
-study never runs more threads than workers; ``ginicov test --threads``
-sets the count for a single test.
+Each thread has its own tile buffer, started on a 64-byte boundary, and
+writes only the entries of its own rows, each still numpy's pairwise sum
+over one contiguous p-vector, so the matrix is bit-identical for every
+thread count.  The pdist branch runs on the calling thread.  Study workers
+use the default of one thread, so a study never runs more threads than
+workers; ``ginicov test --threads`` sets the count for a single test.
 
 A block of relabellings gets its class pair sums and class totals from one
-``class_sums`` call, one BLAS product with a one-hot label matrix, which runs
-on exactly one OpenBLAS thread, for a study worker and ``ginicov test``
-alike: more threads oversubscribe the study workers, and on two cores they
-made a lone product far less steady.  ``_pin_blas`` sets the thread count of
-numpy's bundled OpenBLAS to 1 through ``ctypes`` when it reads anything
-else, and never restores it.  It runs before every product.  Where the library is not
-found, the product runs on the BLAS's own thread setting.
+``class_sums`` call, one BLAS product with a one-hot label matrix: the pair
+sums are its columns' dot products with the one-hot columns, and, d being
+symmetric, the totals are its column sums.  The product runs on exactly one
+OpenBLAS thread, for a study worker and ``ginicov test`` alike: more
+threads oversubscribe the study workers, and on two cores they made a lone
+product far less steady.  ``_pin_blas`` sets the thread count of numpy's
+bundled OpenBLAS to 1 through ``ctypes`` when it reads anything else, and
+never restores it.  It runs before every product.  Where the library is
+not found, the product runs on the BLAS's own thread setting.
 
 The study driver calls ``_before_fork`` just before it forks its workers.
 It pins the count and imports scipy's distance module in the parent, so
@@ -124,7 +126,7 @@ def _tile_rows(x, d, first: int, step: int) -> None:
     # stays in L2, and each entry is still numpy's pairwise sum over one
     # contiguous p-vector
     rows = max(1, (1 << 16) // p)
-    buf = np.empty((rows, p), dtype=np.float64)
+    buf = _tile_buffer(rows, p)
     for i in range(first, n - 1, step):
         for j0 in range(i + 1, n, rows):
             j1 = min(j0 + rows, n)
@@ -134,6 +136,17 @@ def _tile_rows(x, d, first: int, step: int) -> None:
             # mirror tile by tile: d += d.T would copy the overlapping operand
             d[i, j0:j1] = dist
             d[j0:j1, i] = dist
+
+
+def _tile_buffer(rows: int, p: int) -> np.ndarray:
+    """An uninitialized (rows, p) float64 tile that starts on a 64-byte
+    boundary.  numpy aligns to 16 bytes only; on the 300 x 2000 matrix the
+    tile loop took 95-97 ms against 111-113 ms from numpy's own buffer (one
+    thread of a 2-core AVX-512 Xeon, min of 9).  The distances are the same
+    at every offset."""
+    raw = np.empty(rows * p + 8, dtype=np.float64)
+    skip = -raw.ctypes.data % 64 // 8
+    return raw[skip : skip + rows * p].reshape(rows, p)
 
 
 @functools.cache
@@ -249,29 +262,27 @@ def _block_pair_sums(d: np.ndarray, codes: np.ndarray, k: int) -> np.ndarray:
     return np.array([d[ix[:, None], ix].sum() for ix in blocks]) / 2.0
 
 
-def class_sums(d: np.ndarray, row_sums: np.ndarray, labelings, k: int):
+def class_sums(d: np.ndarray, labelings, k: int):
     """Class pair sums and class totals, each (m, k), of an (m, n) array of
     labellings in [0, k): ``pairs[l, c]`` sums ``d`` over unordered pairs
-    within class c of labelling l, ``totals[l, c]`` sums ``row_sums`` over
-    that class.
+    within class c of labelling l, ``totals[l, c]`` sums the row sums of
+    ``d`` over that class.
 
-    Up to ``_ONEHOT_MAX_K`` classes, one single-threaded BLAS product with a
-    gathered one-hot matrix (column ``c + k*l`` marks class c of labelling l)
-    gives the pair sums, which may differ from a pairwise reduction in the
-    last bits.  Its two buffers, the one-hot matrix and the product, are n x
-    k*m each (at most n x 8 * ``streams._BLOCK``); the totals reuse the
-    product's, summed row by row to the bits of ``np.bincount``.  With more
-    classes, or with one (one labelling would give a lone column, which
-    numpy sums pairwise), each labelling's class blocks are summed one by
-    one.
+    Up to ``_ONEHOT_MAX_K`` classes, one single-threaded BLAS product with
+    a gathered one-hot matrix (column ``c + k*l`` marks class c of labelling
+    l) gives both, up to the last bits: the pair sums are its columns' dot
+    products with the one-hot columns and, d being symmetric, the totals are
+    its column sums.  The one-hot matrix and the product are n x k*m each
+    (at most n x 8 * ``streams._BLOCK``).  With more classes, each
+    labelling's class blocks are summed one by one.
     """
-    if not 2 <= k <= _ONEHOT_MAX_K:
+    if k > _ONEHOT_MAX_K:
+        rows = d.sum(axis=1)
         return (np.array([_block_pair_sums(d, lab, k) for lab in labelings]),
-                np.array([np.bincount(lab, row_sums, k) for lab in labelings]))
+                np.array([np.bincount(lab, rows, k) for lab in labelings]))
     m, n = labelings.shape
     onehot = np.take(np.eye(k), labelings.T, axis=0).reshape(n, m * k)
     _pin_blas()
     within = d @ onehot
     pairs = np.einsum("il,il->l", onehot, within).reshape(m, k) / 2.0
-    totals = np.multiply(onehot, row_sums[:, None], out=within).sum(axis=0)
-    return pairs, totals.reshape(m, k)
+    return pairs, within.sum(axis=0).reshape(m, k)

@@ -35,7 +35,8 @@ def _dcov_from_sums(pooled_sum, class_sums, class_rows, counts, n):
     pairs = counts * (counts - 1) / 2
     centered = class_sums - (counts - 1) * class_rows / (n - 2)
     centered += pairs * (2.0 * pooled_sum) / ((n - 1) * (n - 2))
-    return -2.0 * centered.sum(axis=-1) / (n * (n - 3))
+    # 0.0 - x, not -x: an all-zero matrix gives +0.0, never -0.0
+    return 0.0 - 2.0 * centered.sum(axis=-1) / (n * (n - 3))
 
 
 def _sigma0_sq(gi: GroupIndex, v2n: float) -> float:

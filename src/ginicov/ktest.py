@@ -103,7 +103,6 @@ def _perm_test_from_distance(d, gi, permutations: int, alpha: float, seed: int):
     below the observed value tie it, as exact arithmetic would.  Only running
     counts are kept, so memory does not grow with B."""
     pooled = float(d.sum()) / 2.0
-    row_sums = d.sum(axis=1)
     pairs = math.comb(gi.n, 2)
     gamma = _ROUNDING * pooled / pairs
     # every distance at the pooled mean (equidistant or coincident rows)
@@ -115,7 +114,7 @@ def _perm_test_from_distance(d, gi, permutations: int, alpha: float, seed: int):
     # row 0 of the first block, counts itself and so supplies the add-one
     n_ge, floor = 0, None
     for labs in labellings(seed, gi.codes, permutations):
-        sums, rows = class_sums(d, row_sums, labs, gi.k)
+        sums, rows = class_sums(d, labs, gi.k)
         stats = np.stack([_gini_from_sums(pooled, sums, gi.counts, gi.n),
                           _dcov_from_sums(pooled, sums, rows, gi.counts, gi.n)])
         if floor is None:

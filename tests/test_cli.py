@@ -101,6 +101,24 @@ class TestCmdTest:
         assert payload["degenerate"] is True
         assert payload["p_value"] == 1.0 and payload["reject"] is False
 
+    @pytest.mark.parametrize("rows", [
+        "a,1.5,2\na,1.5,2\nb,1.5,2\nb,1.5,2\nb,1.5,2\n",
+        "a,0.0,0\na,-0.0,0\nb,-0.0,-0.0\nb,0.0,-0.0\n",
+    ], ids=["identical-points", "signed-zeros"])
+    def test_zero_distances_print_a_positive_zero_statistic(
+        self, tmp_path, capsys, rows
+    ):
+        # identical points: every distance is zero, and so is the statistic,
+        # printed as 0.0, not -0.0
+        f = tmp_path / "same.csv"
+        f.write_text("y,x1,x2\n" + rows)
+        argv = ["test", "--input", str(f), "--label-col", "y",
+                "--method", "dcov-perm", "--permutations", "9"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert '"statistic": 0.0,' in out
+        assert json.loads(out)["degenerate"] is True
+
     @pytest.mark.parametrize("method", ["gini-normal", "gini-perm", "dcov-perm"])
     def test_values_that_overflow_the_distances_exit_one(
         self, tmp_path, capsys, method

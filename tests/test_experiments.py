@@ -188,7 +188,7 @@ def _blas_after_a_product(seed):
     OpenBLAS thread count and the number of this process's threads."""
     rng = np.random.default_rng(seed)
     d = pairwise_distances(rng.standard_normal((20, 4)))
-    class_sums(d, d.sum(axis=1), rng.integers(0, 3, (5, 20)), 3)
+    class_sums(d, rng.integers(0, 3, (5, 20)), 3)
     return distmat._openblas_threads()[0](), len(os.listdir("/proc/self/task"))
 
 

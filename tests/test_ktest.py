@@ -412,9 +412,9 @@ class TestPermutationTest:
         assert keys % block == 0
         shapes = []
 
-        def recording(d, row_sums, labelings, k):
+        def recording(d, labelings, k):
             shapes.append(labelings.shape[0])
-            return class_sums(d, row_sums, labelings, k)
+            return class_sums(d, labelings, k)
 
         monkeypatch.setattr(ginicov.ktest, "class_sums", recording)
         ds = two_class_dataset(np.random.default_rng(33))
@@ -432,9 +432,9 @@ class TestPermutationTest:
     ):
         labellings = []
 
-        def recording(d, row_sums, labelings, k):
+        def recording(d, labelings, k):
             labellings.append(labelings.copy())
-            return class_sums(d, row_sums, labelings, k)
+            return class_sums(d, labelings, k)
 
         monkeypatch.setattr(ginicov.ktest, "class_sums", recording)
         ds = two_class_dataset(np.random.default_rng(34), n1=5, n2=4)
