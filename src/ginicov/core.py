@@ -183,12 +183,13 @@ def load_csv(
     tokenizer reads it in one pass (``_load_table``).  Whatever that pass
     does not accept as it stands -- a cell numpy cannot parse (``1_000``,
     say, which ``float`` reads), a non-finite value, a row of another width,
-    fewer than 2 rows, a line longer than csv's field limit that holds a
-    ``"`` or a comma-separated segment over that limit, the lines that a
-    quoted field runs over when together they are that long, a line
-    holding one of ``_SEPARATORS``, or a row past the budget below -- is
-    read again from the start by the row loop (``_load_rows``), which
-    defines the format: it returns that file's data or raises its error.
+    fewer than 2 rows, a record that runs over lines (a quoted field that
+    holds a line end), a line ended by a lone carriage return, a line
+    longer than csv's field limit that holds a ``"`` or a comma-separated
+    segment over that limit, a line holding one of ``_SEPARATORS``, or a
+    row past the budget below -- is read again from the start by the row
+    loop (``_load_rows``), which defines the format: it returns that file's
+    data or raises its error.
     The row loop converts and checks each row as it is read, so the first
     bad row ends the read; its error names the row's first bad cell.
     The row past the distance-matrix budget (the 11586th, see
@@ -201,11 +202,10 @@ def load_csv(
     line).
 
     ``workers`` caps the processes that share the one pass: a file of more
-    than ``_SPLIT_BYTES`` that holds no ``"`` is cut into up to ``workers``
-    byte ranges (no more than the usable cores, each at least
-    ``_SPLIT_BYTES``), each parsed by its own forked process; the result
-    does not depend on the count.  Raises ``ValueError`` when ``workers`` is
-    below 1.
+    than ``_SPLIT_BYTES`` is cut into up to ``workers`` byte ranges (no more
+    than the usable cores, each at least ``_SPLIT_BYTES``), each parsed by
+    its own forked process; the result does not depend on the count.
+    Raises ``ValueError`` when ``workers`` is below 1.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -321,25 +321,28 @@ def _send_share(conn, fn, share) -> None:
 
 def _cuts(path, before: str, ranges: int) -> list:
     """The byte ranges that the data of ``path`` are read in: up to
-    ``ranges``, one when the data hold a ``"``.  The data begin after the
-    BOM and ``before`` (the text ahead of the first data line); for more
-    than one range one chunked binary scan reads them whole.  Range j > 0
-    begins just after the first ``b"\n"`` at or past j equal shares of the
-    data; no range begins at the end of the file.  Each range is (offset, rows,
-    newlines): its first byte, the ``b"\n"`` plus ``b"\r"`` bytes ahead of
-    it (each line ends in one or two, so at least its data rows before), and
-    the ``b"\n"`` bytes in it (None for the last range)."""
+    ``ranges``.  The data begin after the BOM and ``before`` (the text ahead
+    of the first data line); for more than one range one chunked binary scan
+    reads them up to the last cut.  Range j > 0 begins just after the first
+    ``b"\n"`` at or past j equal shares of the data; no range begins at the
+    end of the file.  Each range is (offset, rows, newlines): its first
+    byte, the ``b"\n"`` bytes ahead of it, and those in it (None for the
+    last range).
+
+    ``rows`` bounds the rows that the ranges before convert, so the budgets
+    hold across ranges: ``_read_part`` converts only lines that end in
+    ``"\n"`` (or the file's last line), and every such line of an earlier
+    range is counted in each later range's ``rows``.  So the rows converted
+    across all ranges never pass the budget."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         bom = len(codecs.BOM_UTF8) if fh.read(3) == codecs.BOM_UTF8 else 0
         start = bom + len(before.encode())
         targets = [start + (size - start) * j // ranges for j in range(1, ranges)]
         fh.seek(start)
-        cuts = [(start, 0, 0)]  # (offset, b"\n" before, b"\n" + b"\r" before)
-        offset, newlines, ends = start, 0, 0
-        while ranges > 1 and (chunk := fh.read(_SPLIT_BYTES)):
-            if b'"' in chunk:
-                return [(start, 0, None)]
+        cuts = [(start, 0)]  # (offset, b"\n" before)
+        offset, newlines = start, 0
+        while targets and (chunk := fh.read(_SPLIT_BYTES)):
             at = 0
             while targets:
                 at = chunk.find(b"\n", max(targets[0] - offset, at))
@@ -347,23 +350,12 @@ def _cuts(path, before: str, ranges: int) -> list:
                     break
                 at += 1
                 targets.pop(0)
-                lf, lf_cr = _line_ends(chunk, at)
-                cuts.append((offset + at, newlines + lf, ends + lf_cr))
-            if targets:
-                lf, lf_cr = _line_ends(chunk, len(chunk))
-                newlines += lf
-                ends += lf_cr
+                cuts.append((offset + at, newlines + chunk.count(b"\n", 0, at)))
+            newlines += chunk.count(b"\n")
             offset += len(chunk)
     cuts = [cut for cut in cuts if cut[0] < size]
     stops = [b[1] - a[1] for a, b in zip(cuts, cuts[1:])] + [None]
-    return [(offset, ends, stop) for (offset, _, ends), stop in zip(cuts, stops)]
-
-
-def _line_ends(chunk: bytes, end: int) -> tuple:
-    """The ``b"\n"`` bytes of ``chunk[:end]``, and those plus its ``b"\r"``
-    bytes (the second count is skipped where the chunk holds none)."""
-    lf = chunk.count(b"\n", 0, end)
-    return lf, lf + (chunk.count(b"\r", 0, end) if b"\r" in chunk else 0)
+    return [cut + (stop,) for cut, stop in zip(cuts, stops)]
 
 
 def _read_part(path, width: int, label_idx: int, cut):
@@ -373,7 +365,7 @@ def _read_part(path, width: int, label_idx: int, cut):
     Reads ``cut`` = (offset, rows, newlines) through its own handle (a forked
     child shares the offset of every inherited one) from byte ``offset``
     through the ``newlines``-th line that ends in ``"\n"``, or to the end
-    when that is None.  ``rows`` is at least the count of data rows before,
+    when that is None.  ``rows`` bounds the data rows before (see ``_cuts``),
     so the budgets refuse a row no later than one read of the whole file
     would.  Raises ``ValueError`` at a line for the row loop and at a range
     of another width than ``width``.
@@ -387,21 +379,23 @@ def _read_part(path, width: int, label_idx: int, cut):
         return 0.0
 
     def checked(lines):
+        # a line that ends inside a quoted field or in a lone "\r" is the
+        # row loop's, so each line begins outside quotes and is one record;
         # only a record over csv's field limit can hold a field csv refuses:
-        # a quoted one, or a segment between commas over the limit (its
-        # line end counted); a record is one line, or the lines that a
-        # quoted field runs over; the row past the budget is refused before
-        # numpy converts it
+        # a quoted one, or a segment between commas over the limit (its line
+        # end counted); the row past the budget is refused before numpy
+        # converts it
         nonlocal rows, newlines
-        quoted, record = False, 0
         for line in lines:
-            spans = quoted
-            record = record + len(line) if spans else len(line)
-            quoted = _ends_quoted(line, quoted)
             if (
-                record > field_limit
-                and (spans or '"' in line or _long_segment(line, field_limit))
-            ) or any(c in line for c in _SEPARATORS):
+                line.endswith("\r")
+                or _ends_quoted(line)
+                or any(c in line for c in _SEPARATORS)
+                or (
+                    len(line) > field_limit
+                    and ('"' in line or _long_segment(line, field_limit))
+                )
+            ):
                 raise ValueError("a line for the row loop")
             if line.strip("\r\n"):
                 rows += 1
@@ -431,10 +425,11 @@ def _read_part(path, width: int, label_idx: int, cut):
     return np.delete(data, label_idx, axis=1), labels
 
 
-def _ends_quoted(line: str, quoted: bool) -> bool:
-    """Whether csv's reader ends ``line`` inside a quoted field, given
-    whether it begins inside one: a ``"`` opens a field only as the field's
-    first character, and inside one a doubled ``"`` is a literal one."""
+def _ends_quoted(line: str) -> bool:
+    """Whether csv's reader, beginning ``line`` outside quotes, ends it
+    inside a quoted field: a ``"`` opens a field only as the field's first
+    character, and inside one a doubled ``"`` is a literal one."""
+    quoted = False
     at = line.find('"')
     while at >= 0:
         if not quoted:

@@ -45,7 +45,10 @@ def _sigma0_sq(gi: GroupIndex, v2n: float) -> float:
 
     The bracket sums exact binomial reciprocals class by class before
     subtracting the pooled term: the two parts are O(n^-2) and nearly
-    cancel, so the ordering is fixed for reproducibility.
+    cancel, so the ordering is fixed for reproducibility.  It is positive:
+    ``validate_for_testing`` ensures K >= 2 classes of at least 2, so the
+    class terms, each over 2/n^2, sum to over 4/n^2 >= 2/(n(n-1)), the
+    pooled term.
     """
     validate_for_testing(gi)
     bracket = 0.0
@@ -54,9 +57,6 @@ def _sigma0_sq(gi: GroupIndex, v2n: float) -> float:
         cnt = int(cnt)
         bracket += (cnt / n) ** 2 / comb(cnt, 2)
     bracket -= 1.0 / comb(n, 2)
-    if bracket <= 0.0:
-        # impossible for K >= 2; guards against a malformed GroupIndex
-        raise ValueError(f"variance bracket must be positive, got {bracket}")
     return bracket * v2n
 
 

@@ -331,13 +331,12 @@ class TestLoadCsvTokenizer:
             csv.field_size_limit(default)
 
     @settings(max_examples=300, deadline=None)
-    @given(line=st.text(',a"', max_size=30), quoted=st.booleans())
-    def test_ends_quoted_as_csv_reads(self, line, quoted):
-        # a line that ends inside a quoted field takes its line end into it;
-        # a line that begins inside one reads like one that opens it
-        text = ('"' if quoted else "") + line + "\nz\n"
+    @given(line=st.text(',a"', max_size=30))
+    def test_ends_quoted_as_csv_reads(self, line):
+        # a line that ends inside a quoted field takes its line end into it
+        text = line + "\nz\n"
         rows = list(csv.reader(io.StringIO(text, newline="")))
-        assert ginicov.core._ends_quoted(line + "\n", quoted) == any(
+        assert ginicov.core._ends_quoted(line + "\n") == any(
             "\n" in field for row in rows for field in row
         )
 
@@ -459,15 +458,18 @@ def _split_small(monkeypatch, split_bytes=64, cores=4):
     monkeypatch.setattr(ginicov.core, "_usable_cores", lambda: cores)
 
 
-def _tall(path, rows, last=None):
-    """A header and ``rows`` two-feature rows, then the line ``last``."""
-    body = "".join(f"{'ab'[i % 2]},{i},{-i}\n" for i in range(rows))
-    path.write_text("y,x1,x2\n" + body + ("" if last is None else last + "\n"))
+def _tall(path, rows, last=None, eol="\n"):
+    """A header and ``rows`` two-feature rows, then the line ``last``, each
+    line ended by ``eol``."""
+    body = "".join(f"{'ab'[i % 2]},{i},{-i}{eol}" for i in range(rows))
+    path.write_text(
+        f"y,x1,x2{eol}" + body + ("" if last is None else last + eol), newline=""
+    )
 
 
 class TestLoadCsvSplit:
-    """Forked children parse byte ranges of a quote-free file; the parts
-    stack to the one pass's data, and any failure goes to the row loop."""
+    """Forked children parse byte ranges of a file; the parts stack to the
+    one pass's data, and any failure goes to the row loop."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -506,9 +508,6 @@ class TestLoadCsvSplit:
         with mock.patch.object(ginicov.core, "_SPLIT_BYTES", split_bytes):
             cuts = ginicov.core._cuts(f, "", ranges)
         start = 3 if content.startswith(b"\xef\xbb\xbf") else 0
-        if b'"' in content[start:]:
-            assert cuts == [(start, 0, None)]
-            return
         if start == len(content):  # no data, so no range
             assert cuts == []
             return
@@ -519,8 +518,11 @@ class TestLoadCsvSplit:
         for offset, rows, _ in cuts[1:]:
             assert content[offset - 1:offset] == b"\n" and offset < len(content)
             data = content[start:offset]
+            # the ranges convert only lines that end in "\n"
             lines = io.StringIO(data.decode("utf-8"), newline="")
-            assert rows >= sum(1 for line in lines if line.strip("\r\n"))
+            assert rows >= sum(
+                1 for line in lines if line.strip("\r\n") and line.endswith("\n")
+            )
         # each range but the last stops after its count of b"\n"
         ends = offsets[1:] + [None]
         for (offset, _, newlines), end in zip(cuts, ends):
@@ -570,13 +572,39 @@ class TestLoadCsvSplit:
             assert len(forks) == children
             forks.clear()
 
-    def test_a_quoted_file_is_never_split(self, tmp_path, monkeypatch, forks):
+    def test_a_quoted_file_is_split_like_any_other(
+        self, tmp_path, monkeypatch, forks
+    ):
         _split_small(monkeypatch)
         f = tmp_path / "d.csv"
-        _tall(f, 60, last='"a",60,-60')
-        assert ginicov.core._cuts(f, "y,x1,x2\n", 4) == [(8, 0, None)]
-        assert load_csv(f, "y", workers=4).labels[-1] == "a"
-        assert forks == []
+        f.write_text("y,x1,x2\n" + "".join(
+            f'"{"ab"[i % 2]}",{i},"{-i}"\n' for i in range(60)
+        ) + '"a,""b""",60,-60\n')
+        expected = ginicov.core._load_rows(f, "y", True)
+        monkeypatch.setattr(ginicov.core, "_load_rows", None)  # the parts decide
+        ds = load_csv(f, "y", workers=4)
+        assert len(forks) == 3
+        assert ds.labels == expected.labels and ds.labels[-1] == 'a,"b"'
+        assert np.array_equal(ds.data, expected.data)
+
+    @pytest.mark.parametrize(
+        "last",
+        ['"a\nb",60,-60', "a,60,-60\rb,61,-61"],
+        ids=["record-over-lines", "lone-cr"],
+    )
+    def test_lines_that_end_inside_quotes_or_in_a_lone_cr_go_to_the_row_loop(
+        self, tmp_path, monkeypatch, forks, last
+    ):
+        _split_small(monkeypatch)
+        f = tmp_path / "d.csv"
+        _tall(f, 60, last=last)
+        with pytest.raises(ValueError, match="a line for the row loop"):
+            ginicov.core._load_table(f, "y", True, 3)
+        assert len(forks) == 2
+        assert outcome(
+            lambda *args: load_csv(*args, workers=3), f, "y", True
+        ) == outcome(ginicov.core._load_rows, f, "y", True)
+        assert not multiprocessing.active_children()
 
     def test_a_bad_cell_in_the_last_range_is_the_row_loops_error(
         self, tmp_path, monkeypatch, forks
@@ -619,23 +647,55 @@ class TestLoadCsvSplit:
         assert not multiprocessing.active_children()
         assert not any(child.is_alive() for child in forks)
 
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["lf", "crlf"])
     @pytest.mark.parametrize("budget, message", [(40, "^41 rows need"), (80, None)])
     def test_the_row_budget_holds_across_ranges(
-        self, tmp_path, monkeypatch, forks, budget, message
+        self, tmp_path, monkeypatch, forks, budget, message, eol
     ):
-        # each range counts from an upper bound on the rows before it
+        # each range counts from an upper bound on the rows before it, one
+        # per line whatever its line end
         _split_small(monkeypatch)
         monkeypatch.setattr(ginicov.core, "_MAX_MATRIX_BYTES", 8 * budget * budget)
         f = tmp_path / "d.csv"
-        _tall(f, 41)
+        _tall(f, 41, eol=eol)
         if message is None:
             assert load_csv(f, "y", workers=3).n == 41
         else:
             with pytest.raises(TooLargeError, match=message):
                 load_csv(f, "y", workers=3)
-        _tall(f, 40)
+        _tall(f, 40, eol=eol)
         assert ginicov.core._load_table(f, "y", True, 3).n == 40
         assert len(forks) == 4
+
+    def test_no_range_converts_past_the_budget_beside_lone_cr_lines(
+        self, tmp_path, monkeypatch
+    ):
+        # a line ended by a lone "\r" is in no later range's bound, so no
+        # range converts it; the ranges run in turn here, to count them all
+        _split_small(monkeypatch)
+        monkeypatch.setattr(ginicov.core, "_MAX_MATRIX_BYTES", 8 * 40 * 40)
+        monkeypatch.setattr(ginicov.core, "_fork_context", lambda: None)
+        converted = []
+        loadtxt = np.loadtxt
+
+        def counting(lines, **kwargs):
+            def counted():
+                for line in lines:
+                    converted.append(bool(line.strip("\r\n")))
+                    yield line
+
+            return loadtxt(counted(), **kwargs)
+
+        monkeypatch.setattr(ginicov.core.np, "loadtxt", counting)
+        f = tmp_path / "d.csv"
+        ends = ["\r", "\n"]
+        f.write_text("y,x1,x2\n" + "".join(
+            f"{'ab'[i % 2]},{i},{-i}{ends[i % 2]}" for i in range(41)
+        ), newline="")
+        assert len(ginicov.core._cuts(f, "y,x1,x2\n", 3)) == 3
+        with pytest.raises(TooLargeError, match="^41 rows need"):
+            load_csv(f, "y", workers=3)
+        assert sum(converted) <= 40
 
     def test_no_split_beside_another_thread(self, tmp_path, monkeypatch, forks):
         _split_small(monkeypatch)

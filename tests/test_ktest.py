@@ -22,7 +22,7 @@ from ginicov import (
 )
 from ginicov.distmat import class_sums
 from ginicov.ktest import _normal_test_from_distance, _perm_test_from_distance
-from ginicov.streams import substream
+from ginicov.streams import labellings, substream
 from test_core import traced_peak
 
 # Phi(x) from a 50-digit erfc evaluation, truncated to double precision; it
@@ -384,10 +384,12 @@ class TestPermutationTest:
         for trial in range(60):
             ds = shifted_dataset(rng, (3, 3, 3), p=4, shift=10.0)
             codes = group_index(ds).codes
-            ties = 0
-            for b in range(1, permutations + 1):
-                lab = codes[substream(trial, b).permutation(codes.size)]
-                ties += all(np.unique(lab[codes == c]).size == 1 for c in range(3))
+            # the replicates, row for row codes[substream(trial, b).permutation(n)]
+            reps = np.vstack(list(labellings(trial, codes, permutations)))[1:]
+            # a replicate ties when each class keeps a single label
+            ties = int(np.all(
+                [np.ptp(reps[:, codes == c], axis=1) == 0 for c in range(3)], axis=0
+            ).sum())
             floor = (1.0 + ties) / (permutations + 1.0)
             for res in permutation_test(ds, permutations, seed=trial).values():
                 assert res.p_value >= floor, (trial, res.method, ties)
