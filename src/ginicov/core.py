@@ -239,7 +239,7 @@ def _load_table(path, label_column, has_header: bool, workers: int = 1):
         head = taking()
         header = next(csv.reader(head), None) if has_header else None
         label_idx = _label_index(path, label_column, header)
-        first = next(filter(lambda line: line.strip("\r\n"), head), None)
+        first = next(filter(lambda line: line.lstrip("\r\n"), head), None)
         if first is None:
             return None
         width = len(next(csv.reader([first])))
@@ -397,7 +397,7 @@ def _read_part(path, width: int, label_idx: int, cut):
                 )
             ):
                 raise ValueError("a line for the row loop")
-            if line.strip("\r\n"):
+            if line.lstrip("\r\n"):
                 rows += 1
                 _check_matrix_rows(rows)
                 _check_feature_matrix(rows, width - 1)
@@ -413,7 +413,7 @@ def _read_part(path, width: int, label_idx: int, cut):
             # leading blank lines hold no row and no quote; numpy warns on a
             # range with no row
             rest = checked(lines)
-            head = next(filter(lambda line: line.strip("\r\n"), rest), None)
+            head = next(filter(lambda line: line.lstrip("\r\n"), rest), None)
             if head is None:
                 return np.empty((0, width - 1)), labels
             data = np.loadtxt(

@@ -9,7 +9,11 @@ Beta i of a size/power grid generates from ``derive_seed(root, i)``, so any
 subset of a study can be recomputed in isolation and results do not depend
 on worker count or scheduling.
 Aggregation is pure counting (and ordered collection of z values), never an
-order-sensitive float reduction.
+order-sensitive float reduction.  A study reads only ``reject`` and
+``degenerate`` from a permutation test, so ``_replicate`` lets the engine
+stop once both decisions are fixed (``ktest`` module docstring): the
+rejection counts are those of the full run, and a permutation result that
+stopped early carries no p-value.
 
 What a study sets up in its own process, before it maps any replicate, is
 never restored and is inherited by every forked worker: glibc's malloc
@@ -200,7 +204,8 @@ def _run_tasks(worker, payloads, threads: int):
 def _replicate(cfg: StudyConfig, task) -> tuple:
     """The ``TestResult`` of each of ``cfg.methods``, in order, on the
     replicate ``task`` = (scenario, r) generates; every method tests the
-    same distance matrix."""
+    same distance matrix.  A permutation result's p-value is None when its
+    pass stopped once both decisions were fixed."""
     scenario, replicate = task
     ds = scenario_dataset(scenario, replicate)
     gi = group_index(ds)
@@ -211,7 +216,9 @@ def _replicate(cfg: StudyConfig, task) -> tuple:
     if set(cfg.methods) - {METHOD_GINI_NORMAL}:
         perm_seed = derive_seed(scenario.seed, replicate, _PERM_SALT)
         results.update(
-            _perm_test_from_distance(d, gi, cfg.permutations, cfg.alpha, perm_seed)
+            _perm_test_from_distance(
+                d, gi, cfg.permutations, cfg.alpha, perm_seed, until_decided=True
+            )
         )
     return tuple(results[m] for m in cfg.methods)
 

@@ -5,6 +5,16 @@ standard deviation and rejects one-sided for large values; no resampling is
 involved.  The permutation engine calibrates the Gini covariance and the
 distance-covariance comparator together, from the class pair sums of one
 block of uniformly reshuffled labellings at a time on the fixed matrix.
+
+A study reads only a permutation test's decision, so for it the engine stops
+at the first block after which neither decision can change (the exact form
+of Besag and Clifford's sequential Monte Carlo test, Biometrika 78, 1991):
+the count of labellings at or above the observed value only grows, by at
+most the labellings not yet counted, and float division is monotone, so a
+method whose count already gives a p-value above alpha can never reject, and
+one whose count plus every labelling left still gives at most alpha must.
+Its rejections are those of the full run; a test that stopped early
+reports no p-value.
 """
 
 from __future__ import annotations
@@ -44,7 +54,9 @@ class TestResult:
     method: str
     statistic: float
     z: float | None
-    p_value: float
+    # None only for a permutation test stopped once its decision was fixed
+    # (``_perm_test_from_distance(..., until_decided=True)``)
+    p_value: float | None
     alpha: float
     reject: bool
     permutations: int | None = None
@@ -96,12 +108,24 @@ def gini_normal_test(
     return _normal_test_from_distance(pairwise_distances(ds, threads), gi, alpha)
 
 
-def _perm_test_from_distance(d, gi, permutations: int, alpha: float, seed: int):
+def _perm_test_from_distance(
+    d, gi, permutations: int, alpha: float, seed: int, until_decided: bool = False
+):
     """gini-perm and dcov-perm results by method, from one pass over the
     streams: replicate b gives row j the class of row perm[j], perm from the
     stream (seed, b).  Replicates within 100 eps x the pooled mean distance
     below the observed value tie it, as exact arithmetic would.  Only running
-    counts are kept, so memory does not grow with B."""
+    counts are kept, so memory does not grow with B.
+
+    A degenerate sample stops after the first block, which holds the
+    observed statistics: its p-value is 1 whatever the count.  With
+    ``until_decided`` the pass also stops after the first block at which both
+    decisions are fixed (module docstring): with ``left`` labellings not yet
+    counted, a method cannot reject once n_ge / (B + 1) > alpha and must once
+    (n_ge + left) / (B + 1) <= alpha.  ``reject`` is the second test, which
+    at left = 0 is p <= alpha, so it equals the full run's; ``p_value`` is
+    the exact add-one value when every labelling was counted and None when
+    the pass stopped early."""
     pooled = float(d.sum()) / 2.0
     pairs = math.comb(gi.n, 2)
     gamma = _ROUNDING * pooled / pairs
@@ -112,7 +136,7 @@ def _perm_test_from_distance(d, gi, permutations: int, alpha: float, seed: int):
     degenerate = not d.max() - pooled / pairs > gamma
     # counts of the labellings at or above t_obs - gamma; the observed one,
     # row 0 of the first block, counts itself and so supplies the add-one
-    n_ge, floor = 0, None
+    n_ge, floor, left, total = 0, None, permutations + 1, permutations + 1.0
     for labs in labellings(seed, gi.codes, permutations):
         sums, rows = class_sums(d, labs, gi.k)
         stats = np.stack([_gini_from_sums(pooled, sums, gi.counts, gi.n),
@@ -120,14 +144,22 @@ def _perm_test_from_distance(d, gi, permutations: int, alpha: float, seed: int):
         if floor is None:
             t_obs, floor = stats[:, 0], stats[:, :1] - gamma
         n_ge += (stats >= floor).sum(axis=1)
-    p_values = np.ones(2) if degenerate else n_ge / (permutations + 1.0)
+        left -= labs.shape[0]
+        if degenerate or (until_decided and np.all(
+            (n_ge / total > alpha) | ((n_ge + left) / total <= alpha)
+        )):
+            break
+    if degenerate:
+        p_values, rejects = (1.0, 1.0), (False, False)
+    else:
+        p_values = (None, None) if left else (n_ge / total).tolist()
+        rejects = ((n_ge + left) / total <= alpha).tolist()
     return {
         method: TestResult(
-            method=method, statistic=float(t), z=None, p_value=float(p),
-            alpha=alpha, reject=bool(p <= alpha), permutations=permutations, seed=seed,
-            degenerate=degenerate,
+            method=method, statistic=float(t), z=None, p_value=p, alpha=alpha,
+            reject=r, permutations=permutations, seed=seed, degenerate=degenerate,
         )
-        for method, t, p in zip(_PERM_METHODS, t_obs, p_values)
+        for method, t, p, r in zip(_PERM_METHODS, t_obs, p_values, rejects)
     }
 
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ginicov.experiments
+import ginicov.ktest
 from ginicov import distmat
 from ginicov import (
     DegenerateSampleError,
@@ -34,7 +35,8 @@ from ginicov.experiments import (
     write_power_json,
 )
 from ginicov.distmat import class_sums, pairwise_distances
-from ginicov.streams import substream
+from ginicov.ktest import _perm_test_from_distance
+from ginicov.streams import labellings, substream
 from test_core import traced_peak
 
 SRC = os.path.dirname(os.path.dirname(ginicov.__file__))
@@ -433,6 +435,32 @@ class TestSizePowerStudy:
             assert [r.rejection_rate for r in alone] == [
                 r.rejection_rate for r in both if r.method == method
             ]
+
+    def test_permutation_tests_stop_once_decided(self, monkeypatch):
+        # a study reads only the decisions, so its engine stops once both
+        # are fixed: fewer labellings than the full run, the same rows
+        counted = []
+
+        def counting(seed, codes, permutations):
+            for block in labellings(seed, codes, permutations):
+                counted.append(block.shape[0])
+                yield block
+
+        cfg = StudyConfig(
+            scenario=ScenarioSpec(example=2, p=20, sizes=(12, 8, 6), seed=14),
+            replicates=6,
+            methods=ginicov.experiments.ALL_METHODS,
+            permutations=999,
+        )
+        monkeypatch.setattr(ginicov.ktest, "labellings", counting)
+        rows = size_power_study(cfg, [0.0], threads=1)
+        assert sum(counted) < cfg.replicates * (cfg.permutations + 1)
+
+        def full(*args, until_decided):
+            return _perm_test_from_distance(*args)
+
+        monkeypatch.setattr(ginicov.experiments, "_perm_test_from_distance", full)
+        assert size_power_study(cfg, [0.0], threads=1) == rows
 
     def test_normal_and_permutation_size_agree(self):
         # paired on the same null datasets, the two calibrations land on

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
 import ginicov.distmat
@@ -482,3 +484,53 @@ class TestPermutationTest:
             for b in (1999, 19999)
         ]
         assert peaks[1] < 1.25 * peaks[0], peaks
+
+
+class TestUntilDecided:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(2, 6), min_size=2, max_size=12),
+        permutations=st.sampled_from([1, 19, 99, 127, 128, 129, 999]),
+        alpha=st.sampled_from([0.01, 0.05, 0.1, 0.5]),
+        shift=st.sampled_from([None, 0.0, 0.5, 3.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_decisions_equal_the_full_run(
+        self, sizes, permutations, alpha, shift, seed
+    ):
+        # K up to 12 takes the kernel's class-block path too; at B = 19 and
+        # 99, alpha = 0.05 puts the threshold on a whole count; shift None
+        # makes every row coincide, a degenerate sample
+        if shift is None:
+            codes = np.repeat(np.arange(len(sizes)), sizes)
+            ds = LabeledDataset(np.ones((codes.size, 3)), tuple(codes.tolist()))
+        else:
+            ds = shifted_dataset(substream(seed), sizes, p=4, shift=shift)
+        d, gi = pairwise_distances(ds), group_index(ds)
+        full = _perm_test_from_distance(d, gi, permutations, alpha, seed)
+        early = _perm_test_from_distance(
+            d, gi, permutations, alpha, seed, until_decided=True
+        )
+        for method, res in full.items():
+            got = early[method]
+            assert got.reject == res.reject, method
+            assert got.degenerate == res.degenerate, method
+            assert got.statistic == res.statistic, method
+            assert got.p_value is None or got.p_value == res.p_value, method
+            if res.degenerate:
+                assert got.p_value == 1.0, method
+
+    def test_a_degenerate_sample_counts_one_block(self, monkeypatch):
+        # the observed statistics are in the first block, and a degenerate
+        # sample's p-value is 1 whatever the count
+        shapes = []
+
+        def recording(d, labelings, k):
+            shapes.append(labelings.shape[0])
+            return class_sums(d, labelings, k)
+
+        monkeypatch.setattr(ginicov.ktest, "class_sums", recording)
+        ds = LabeledDataset(np.ones((8, 2)), ("a",) * 4 + ("b",) * 4)
+        for res in permutation_test(ds, permutations=999, seed=3).values():
+            assert res.degenerate and res.p_value == 1.0 and not res.reject
+        assert shapes == [ginicov.streams._BLOCK]
